@@ -240,6 +240,17 @@ percentile(std::vector<double> sorted, double q)
     return sorted[std::min(rank, sorted.size() - 1)];
 }
 
+/// Options of the stats probe and the reference replay: a 120 s bound on
+/// the dial and on each reply, so a slow host never fails the gate.
+serve::ClientOptions
+patient_client_options()
+{
+    serve::ClientOptions options;
+    options.connect_timeout_s = 120.0;
+    options.request_timeout_s = 120.0;
+    return options;
+}
+
 }  // namespace
 
 int
@@ -403,9 +414,9 @@ main(int argc, char** argv)
     double cache_hit_rate = 0.0;
     std::uint64_t cache_hits = 0;
     {
-        serve::Client probe;
+        serve::Client probe(patient_client_options());
         serve::Response stats;
-        if (probe.connect(options.host, port, 120.0) &&
+        if (probe.connect(options.host, port) &&
             probe.call("server_stats", {}, stats) && stats.ok) {
             json_get_double(stats.fields, "cache_hit_rate",
                             cache_hit_rate);
@@ -445,8 +456,8 @@ main(int argc, char** argv)
         reference_options.threads = 1;
         serve::Server reference(reference_options);
         reference.start();
-        serve::Client client;
-        if (!client.connect("127.0.0.1", reference.port(), 120.0))
+        serve::Client client(patient_client_options());
+        if (!client.connect("127.0.0.1", reference.port()))
             fatal("cannot connect to the reference server");
         for (std::size_t i = 0; i < total; ++i) {
             if (replies[i].empty() ||

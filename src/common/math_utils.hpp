@@ -1,7 +1,7 @@
 /// \file
 /// Small numeric helpers shared across modules: integer factorization for
 /// tiling enumeration, descriptive statistics for benchmark reporting, and
-/// interpolation utilities for trace-driven models.
+/// linear interpolation.
 
 #ifndef CHRYSALIS_COMMON_MATH_UTILS_HPP
 #define CHRYSALIS_COMMON_MATH_UTILS_HPP
@@ -35,11 +35,6 @@ bool approx_equal(double a, double b, double tol = 1e-9);
 
 /// Linear interpolation between two points.
 double lerp(double a, double b, double t);
-
-/// Piecewise-linear sample of a (time, value) trace; clamps outside range.
-/// \pre xs sorted ascending, xs.size() == ys.size(), !xs.empty().
-double interp_trace(const std::vector<double>& xs,
-                    const std::vector<double>& ys, double x);
 
 /// Descriptive statistics over a sample of doubles.
 struct SummaryStats {

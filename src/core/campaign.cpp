@@ -272,11 +272,4 @@ run_campaign(const std::vector<CampaignCase>& cases,
     return result;
 }
 
-CampaignResult
-run_campaign(const std::vector<CampaignCase>& cases,
-             const search::ExplorerOptions& base_options)
-{
-    return run_campaign(cases, base_options, CampaignOptions{});
-}
-
 }  // namespace chrysalis::core

@@ -110,11 +110,7 @@ struct CampaignOptions {
 /// reproducible).
 CampaignResult run_campaign(const std::vector<CampaignCase>& cases,
                             const search::ExplorerOptions& base_options,
-                            const CampaignOptions& campaign_options);
-
-/// Sequential convenience overload (CampaignOptions defaults).
-CampaignResult run_campaign(const std::vector<CampaignCase>& cases,
-                            const search::ExplorerOptions& base_options);
+                            const CampaignOptions& campaign_options = {});
 
 /// Runs a single campaign case exactly as run_campaign would — same
 /// per-index seed offset, same FatalThrowGuard crash isolation with up

@@ -590,6 +590,7 @@ run_distributed_campaign(const core::CampaignSpec& spec,
     // telemetry failures must never affect the campaign result.
     if (!options.fleet_trace_path.empty() ||
         !options.fleet_metrics_path.empty()) {
+        obs::SpanTimer pull_timer("dist/fleet_pull");
         obs::FleetCollector collector;
         if (obs::TraceSession* session = obs::trace()) {
             // The coordinator's own spans need no probe: the exact
@@ -635,6 +636,7 @@ run_distributed_campaign(const core::CampaignSpec& spec,
         if (!options.fleet_metrics_path.empty())
             collector.write_metrics_rollup_file(
                 options.fleet_metrics_path);
+        result.fleet_pull_s = pull_timer.elapsed_s();
     }
 
     progress.finish();

@@ -122,10 +122,13 @@ struct DistCampaignResult {
     StageTotals stage_totals;       ///< remote stage-time breakdown
     /// Fleet telemetry merge accounting (zero unless a fleet_*_path
     /// was set): workers successfully pulled, spans in the merged
-    /// trace, and spans whose aligned duration had to be clamped to 0.
+    /// trace, spans whose aligned duration had to be clamped to 0, and
+    /// the wall time of the pull, merge and writes [s], which
+    /// campaign.wall_time_s includes.
     std::size_t fleet_workers_collected = 0;
     std::uint64_t fleet_spans = 0;
     std::uint64_t fleet_clamped_spans = 0;
+    double fleet_pull_s = 0.0;
 };
 
 /// Runs \p spec across the fleet. fatal() when the spec names a model

@@ -1,7 +1,5 @@
 #include "energy/harvester.hpp"
 
-#include <numbers>
-
 #include "common/logging.hpp"
 
 namespace chrysalis::energy {
@@ -32,132 +30,6 @@ std::unique_ptr<EnergyHarvester>
 SolarPanel::clone() const
 {
     return std::make_unique<SolarPanel>(*this);
-}
-
-void
-SolarPanel::set_area_cm2(double area_cm2)
-{
-    if (area_cm2 <= 0.0)
-        fatal("SolarPanel: area must be > 0 cm^2, got ", area_cm2);
-    area_cm2_ = area_cm2;
-}
-
-RfHarvester::RfHarvester(const Config& config) : config_(config)
-{
-    if (config_.tx_power_w <= 0.0)
-        fatal("RfHarvester: transmitter power must be > 0");
-    if (config_.distance_m <= 0.0)
-        fatal("RfHarvester: distance must be > 0");
-    if (config_.frequency_hz <= 0.0)
-        fatal("RfHarvester: frequency must be > 0");
-    if (config_.antenna_area_cm2 <= 0.0)
-        fatal("RfHarvester: antenna area must be > 0");
-    if (config_.rectifier_efficiency <= 0.0 ||
-        config_.rectifier_efficiency > 1.0) {
-        fatal("RfHarvester: rectifier efficiency must lie in (0, 1]");
-    }
-    // Friis free-space: P_rx = P_tx * (lambda / (4 pi d))^2 * G_rx, with
-    // the receive gain approximated by the aperture ratio
-    // G_rx = 4 pi A / lambda^2 (A in m^2).
-    constexpr double kC = 299792458.0;
-    const double lambda = kC / config_.frequency_hz;
-    const double aperture_m2 = config_.antenna_area_cm2 * 1e-4;
-    const double path = lambda / (4.0 * std::numbers::pi *
-                                  config_.distance_m);
-    const double rx_gain =
-        4.0 * std::numbers::pi * aperture_m2 / (lambda * lambda);
-    const double received =
-        config_.tx_power_w * path * path * rx_gain *
-        config_.rectifier_efficiency;
-    received_power_w_ =
-        received >= config_.sensitivity_w ? received : 0.0;
-}
-
-double
-RfHarvester::power(double) const
-{
-    return received_power_w_;
-}
-
-std::unique_ptr<EnergyHarvester>
-RfHarvester::clone() const
-{
-    return std::make_unique<RfHarvester>(*this);
-}
-
-CompositeHarvester::CompositeHarvester(
-    std::vector<std::unique_ptr<EnergyHarvester>> children)
-    : children_(std::move(children))
-{
-    if (children_.empty())
-        fatal("CompositeHarvester: at least one child required");
-    for (const auto& child : children_) {
-        if (!child)
-            fatal("CompositeHarvester: null child harvester");
-    }
-}
-
-double
-CompositeHarvester::power(double t_s) const
-{
-    double total = 0.0;
-    for (const auto& child : children_)
-        total += child->power(t_s);
-    return total;
-}
-
-double
-CompositeHarvester::area_cm2() const
-{
-    double total = 0.0;
-    for (const auto& child : children_)
-        total += child->area_cm2();
-    return total;
-}
-
-std::string
-CompositeHarvester::name() const
-{
-    std::string label = "composite(";
-    for (std::size_t i = 0; i < children_.size(); ++i) {
-        if (i > 0)
-            label += "+";
-        label += children_[i]->name();
-    }
-    label += ")";
-    return label;
-}
-
-std::unique_ptr<EnergyHarvester>
-CompositeHarvester::clone() const
-{
-    std::vector<std::unique_ptr<EnergyHarvester>> copies;
-    copies.reserve(children_.size());
-    for (const auto& child : children_)
-        copies.push_back(child->clone());
-    return std::make_unique<CompositeHarvester>(std::move(copies));
-}
-
-ThermalHarvester::ThermalHarvester(double area_cm2,
-                                   double power_density_w_per_cm2)
-    : area_cm2_(area_cm2), power_density_(power_density_w_per_cm2)
-{
-    if (area_cm2_ <= 0.0)
-        fatal("ThermalHarvester: area must be > 0 cm^2, got ", area_cm2_);
-    if (power_density_ < 0.0)
-        fatal("ThermalHarvester: power density must be >= 0");
-}
-
-double
-ThermalHarvester::power(double) const
-{
-    return area_cm2_ * power_density_;
-}
-
-std::unique_ptr<EnergyHarvester>
-ThermalHarvester::clone() const
-{
-    return std::make_unique<ThermalHarvester>(*this);
 }
 
 }  // namespace chrysalis::energy

@@ -5,14 +5,13 @@
 /// power: for a solar panel, P_eh = A_eh * k_eh (Eq. 1). The interface is
 /// deliberately minimal so other harvesters (thermoelectric, RF) can be
 /// swapped in, matching the paper's "component extensions for other energy
-/// harvesters".
+/// harvesters" (§III-D); SolarPanel is the only in-tree implementation.
 
 #ifndef CHRYSALIS_ENERGY_HARVESTER_HPP
 #define CHRYSALIS_ENERGY_HARVESTER_HPP
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "energy/solar_environment.hpp"
 
@@ -51,85 +50,11 @@ class SolarPanel final : public EnergyHarvester
     std::string name() const override;
     std::unique_ptr<EnergyHarvester> clone() const override;
 
-    /// Replaces the panel area (used by the explorer when mutating a
-    /// candidate without rebuilding the whole energy subsystem).
-    void set_area_cm2(double area_cm2);
-
     const SolarEnvironment& environment() const { return *environment_; }
 
   private:
     double area_cm2_;
     std::shared_ptr<const SolarEnvironment> environment_;
-};
-
-/// Thermoelectric generator with a constant temperature-gradient power
-/// density; exercises the interface-extension path described in §III-D.
-class ThermalHarvester final : public EnergyHarvester
-{
-  public:
-    /// \param area_cm2 TEG footprint [cm^2]; must be > 0.
-    /// \param power_density_w_per_cm2 harvested density [W/cm^2]; >= 0.
-    ThermalHarvester(double area_cm2, double power_density_w_per_cm2);
-
-    double power(double t_s) const override;
-    double area_cm2() const override { return area_cm2_; }
-    std::string name() const override { return "thermal-teg"; }
-    std::unique_ptr<EnergyHarvester> clone() const override;
-
-  private:
-    double area_cm2_;
-    double power_density_;
-};
-
-/// Far-field RF harvester (WISP-class): received power follows the Friis
-/// free-space path loss from a fixed transmitter, with a rectifier
-/// sensitivity floor below which nothing is harvested.
-class RfHarvester final : public EnergyHarvester
-{
-  public:
-    /// RF link parameters.
-    struct Config {
-        double tx_power_w = 1.0;        ///< transmitter EIRP [W]
-        double distance_m = 3.0;        ///< range to the transmitter
-        double frequency_hz = 915e6;    ///< carrier (UHF RFID band)
-        double antenna_area_cm2 = 10.0; ///< device antenna footprint
-        double rectifier_efficiency = 0.5;
-        double sensitivity_w = 1e-6;    ///< below this: no harvest
-    };
-
-    explicit RfHarvester(const Config& config);
-
-    double power(double t_s) const override;
-    double area_cm2() const override { return config_.antenna_area_cm2; }
-    std::string name() const override { return "rf-harvester"; }
-    std::unique_ptr<EnergyHarvester> clone() const override;
-
-    const Config& config() const { return config_; }
-
-  private:
-    double received_power_w_;  ///< precomputed Friis result
-    Config config_;
-};
-
-/// Sums several harvesters (§III-D: "additional energy harvesting
-/// devices ... can be incorporated"). The footprint is the sum of the
-/// children's footprints.
-class CompositeHarvester final : public EnergyHarvester
-{
-  public:
-    /// \pre !children.empty(), no null entries.
-    explicit CompositeHarvester(
-        std::vector<std::unique_ptr<EnergyHarvester>> children);
-
-    double power(double t_s) const override;
-    double area_cm2() const override;
-    std::string name() const override;
-    std::unique_ptr<EnergyHarvester> clone() const override;
-
-    std::size_t child_count() const { return children_.size(); }
-
-  private:
-    std::vector<std::unique_ptr<EnergyHarvester>> children_;
 };
 
 }  // namespace chrysalis::energy

@@ -179,36 +179,4 @@ MarkovWeatherEnvironment::clone() const
     return std::make_unique<MarkovWeatherEnvironment>(*this);
 }
 
-// --- TraceSolarEnvironment -------------------------------------------------
-
-TraceSolarEnvironment::TraceSolarEnvironment(std::vector<double> times_s,
-                                             std::vector<double> k_eh_w_per_cm2,
-                                             std::string label)
-    : times_(std::move(times_s)), values_(std::move(k_eh_w_per_cm2)),
-      label_(std::move(label))
-{
-    if (times_.empty() || times_.size() != values_.size())
-        fatal("TraceSolarEnvironment: trace must be non-empty and aligned");
-    for (std::size_t i = 1; i < times_.size(); ++i) {
-        if (times_[i] <= times_[i - 1])
-            fatal("TraceSolarEnvironment: times must be strictly increasing");
-    }
-    for (double v : values_) {
-        if (v < 0.0)
-            fatal("TraceSolarEnvironment: k_eh values must be >= 0");
-    }
-}
-
-double
-TraceSolarEnvironment::k_eh(double t_s) const
-{
-    return interp_trace(times_, values_, t_s);
-}
-
-std::unique_ptr<SolarEnvironment>
-TraceSolarEnvironment::clone() const
-{
-    return std::make_unique<TraceSolarEnvironment>(*this);
-}
-
 }  // namespace chrysalis::energy

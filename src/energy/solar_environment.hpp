@@ -4,11 +4,11 @@
 /// The paper consumes its pvlib-based solar model as a single coefficient
 /// `k_eh` [W/cm^2] that is stable within one inference but varies across
 /// inferences (sunlight changes little within ~5 minutes). A
-/// SolarEnvironment produces that coefficient as a function of time; three
+/// SolarEnvironment produces that coefficient as a function of time; the
 /// implementations cover the evaluation's needs: a constant environment
 /// (the per-search "brighter"/"darker" presets), a diurnal clear-sky model
-/// with cloud attenuation, and a trace-driven environment for replaying
-/// recorded irradiance.
+/// with cloud attenuation, and a multi-day Markov weather model. Other
+/// sources (e.g. recorded irradiance) plug in behind the interface.
 
 #ifndef CHRYSALIS_ENERGY_SOLAR_ENVIRONMENT_HPP
 #define CHRYSALIS_ENERGY_SOLAR_ENVIRONMENT_HPP
@@ -137,26 +137,6 @@ class MarkovWeatherEnvironment final : public SolarEnvironment
     /// seed); mutable because k_eh() is logically const. Not
     /// thread-safe, like the rest of the simulation stack.
     mutable std::vector<int> state_cache_;
-};
-
-/// Replays a recorded (time, k_eh) trace with linear interpolation; values
-/// outside the trace clamp to the endpoints.
-class TraceSolarEnvironment final : public SolarEnvironment
-{
-  public:
-    /// \pre times_s strictly increasing; k_eh values >= 0; equal lengths.
-    TraceSolarEnvironment(std::vector<double> times_s,
-                          std::vector<double> k_eh_w_per_cm2,
-                          std::string label = "trace");
-
-    double k_eh(double t_s) const override;
-    std::string name() const override { return label_; }
-    std::unique_ptr<SolarEnvironment> clone() const override;
-
-  private:
-    std::vector<double> times_;
-    std::vector<double> values_;
-    std::string label_;
 };
 
 }  // namespace chrysalis::energy

@@ -277,15 +277,4 @@ optimize_nsga2(int gene_count, const OptimizerOptions& opts,
     return result;
 }
 
-Nsga2Result
-optimize_nsga2(int gene_count, const OptimizerOptions& opts,
-               const BiFitnessFn& fitness)
-{
-    const IndexedBiFitnessFn indexed =
-        [&fitness](std::size_t, const std::vector<double>& genes) {
-            return fitness(genes);
-        };
-    return optimize_nsga2(gene_count, opts, indexed);
-}
-
 }  // namespace chrysalis::search

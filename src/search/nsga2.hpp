@@ -19,13 +19,9 @@
 namespace chrysalis::search {
 
 /// A bi-objective fitness: returns {f1, f2}, both minimized. Infeasible
-/// points should return large values in both coordinates.
-using BiFitnessFn =
-    std::function<std::array<double, 2>(const std::vector<double>&)>;
-
-/// Bi-objective fitness with the deterministic evaluation index (see
-/// IndexedFitnessFn); must be thread-safe when OptimizerOptions::threads
-/// != 1.
+/// points should return large values in both coordinates. Receives the
+/// deterministic evaluation index (see IndexedFitnessFn); must be
+/// thread-safe when OptimizerOptions::threads != 1.
 using IndexedBiFitnessFn = std::function<std::array<double, 2>(
     std::size_t index, const std::vector<double>&)>;
 
@@ -61,8 +57,6 @@ std::vector<double> crowding_distances(
 /// on `opts.threads` pool workers with index-ordered reduction).
 Nsga2Result optimize_nsga2(int gene_count, const OptimizerOptions& opts,
                            const IndexedBiFitnessFn& fitness);
-Nsga2Result optimize_nsga2(int gene_count, const OptimizerOptions& opts,
-                           const BiFitnessFn& fitness);
 
 }  // namespace chrysalis::search
 

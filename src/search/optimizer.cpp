@@ -65,15 +65,6 @@ evaluate_batch(runtime::ThreadPool& pool, const IndexedFitnessFn& fitness,
     return scores;
 }
 
-/// Adapts a plain FitnessFn (index dropped) to the indexed interface.
-IndexedFitnessFn
-drop_index(const FitnessFn& fitness)
-{
-    return [&fitness](std::size_t, const std::vector<double>& genes) {
-        return fitness(genes);
-    };
-}
-
 }  // namespace
 
 std::string
@@ -309,34 +300,6 @@ optimize(OptimizerStrategy strategy, int gene_count,
         return optimize_grid(gene_count, opts, fitness);
     }
     panic("optimize: invalid strategy");
-}
-
-OptimizeResult
-optimize_genetic(int gene_count, const OptimizerOptions& opts,
-                 const FitnessFn& fitness)
-{
-    return optimize_genetic(gene_count, opts, drop_index(fitness));
-}
-
-OptimizeResult
-optimize_random(int gene_count, const OptimizerOptions& opts,
-                const FitnessFn& fitness)
-{
-    return optimize_random(gene_count, opts, drop_index(fitness));
-}
-
-OptimizeResult
-optimize_grid(int gene_count, const OptimizerOptions& opts,
-              const FitnessFn& fitness)
-{
-    return optimize_grid(gene_count, opts, drop_index(fitness));
-}
-
-OptimizeResult
-optimize(OptimizerStrategy strategy, int gene_count,
-         const OptimizerOptions& opts, const FitnessFn& fitness)
-{
-    return optimize(strategy, gene_count, opts, drop_index(fitness));
 }
 
 }  // namespace chrysalis::search

@@ -19,16 +19,14 @@
 
 namespace chrysalis::search {
 
-/// Fitness callback: lower is better. Genes are in [0, 1].
-using FitnessFn = std::function<double(const std::vector<double>&)>;
-
-/// Fitness callback that additionally receives the deterministic
-/// evaluation index (the position the point will occupy in
-/// `OptimizeResult::history`). When `OptimizerOptions::threads != 1` the
-/// optimizer invokes this concurrently from pool threads, so the callback
-/// must be thread-safe; the index lets callers record side products
-/// (e.g. fully evaluated designs) in an order independent of thread
-/// scheduling.
+/// Fitness callback: lower is better. Genes are in [0, 1]. It also
+/// receives the deterministic evaluation index (the position the point
+/// will occupy in `OptimizeResult::history`). When
+/// `OptimizerOptions::threads != 1` the optimizer invokes this
+/// concurrently from pool threads, so the callback must be thread-safe;
+/// the index lets callers record side products (e.g. fully evaluated
+/// designs) in an order independent of thread scheduling. Callers that
+/// need no index ignore it.
 using IndexedFitnessFn =
     std::function<double(std::size_t index, const std::vector<double>&)>;
 
@@ -78,29 +76,20 @@ std::string to_string(OptimizerStrategy strategy);
 /// evaluated on a runtime::ThreadPool of `opts.threads` workers.
 OptimizeResult optimize_genetic(int gene_count, const OptimizerOptions& opts,
                                 const IndexedFitnessFn& fitness);
-OptimizeResult optimize_genetic(int gene_count, const OptimizerOptions& opts,
-                                const FitnessFn& fitness);
 
 /// Uniform random sampling with the same evaluation budget as the GA.
 OptimizeResult optimize_random(int gene_count, const OptimizerOptions& opts,
                                const IndexedFitnessFn& fitness);
-OptimizeResult optimize_random(int gene_count, const OptimizerOptions& opts,
-                               const FitnessFn& fitness);
 
 /// Full-factorial grid with per-dimension resolution chosen to fit the
 /// budget (resolution = floor(budget^(1/n)), at least 2).
 OptimizeResult optimize_grid(int gene_count, const OptimizerOptions& opts,
                              const IndexedFitnessFn& fitness);
-OptimizeResult optimize_grid(int gene_count, const OptimizerOptions& opts,
-                             const FitnessFn& fitness);
 
 /// Dispatches on \p strategy.
 OptimizeResult optimize(OptimizerStrategy strategy, int gene_count,
                         const OptimizerOptions& opts,
                         const IndexedFitnessFn& fitness);
-OptimizeResult optimize(OptimizerStrategy strategy, int gene_count,
-                        const OptimizerOptions& opts,
-                        const FitnessFn& fitness);
 
 }  // namespace chrysalis::search
 

@@ -197,14 +197,8 @@ Client::operator=(Client&& other) noexcept
 }
 
 bool
-Client::connect(const std::string& host, int port, double timeout_s)
+Client::connect(const std::string& host, int port)
 {
-    if (timeout_s >= 0.0) {
-        // Back-compat: the old single timeout parameter bounds both the
-        // dial and each request (0 = wait forever).
-        options_.connect_timeout_s = timeout_s;
-        options_.request_timeout_s = timeout_s;
-    }
     host_ = host;
     port_ = port;
     return dial();

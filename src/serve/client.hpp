@@ -111,14 +111,10 @@ class Client
     Client(const Client&) = delete;
     Client& operator=(const Client&) = delete;
 
-    /// Connects to host:port and remembers the address for automatic
-    /// reconnects. \p timeout_s >= 0 overrides both the connect and the
-    /// per-request deadline (back-compat with the old per-recv timeout
-    /// parameter, 0 = wait forever); the default -1 uses
-    /// ClientOptions::connect_timeout_s / request_timeout_s. Returns
-    /// false on failure (fd left closed).
-    bool connect(const std::string& host, int port,
-                 double timeout_s = -1.0);
+    /// Connects to host:port within ClientOptions::connect_timeout_s and
+    /// remembers the address for automatic reconnects. Returns false on
+    /// failure (fd left closed).
+    bool connect(const std::string& host, int port);
 
     bool connected() const { return fd_ >= 0; }
 

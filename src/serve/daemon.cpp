@@ -285,8 +285,10 @@ run_call_cli(int argc, char** argv, int first)
 
     ClientOptions client_options;
     client_options.max_attempts = retries + 1;
+    client_options.connect_timeout_s = timeout_s;
+    client_options.request_timeout_s = timeout_s;
     Client client(client_options);
-    if (!client.connect(host, port, timeout_s) && retries == 0)
+    if (!client.connect(host, port) && retries == 0)
         fatal("cannot connect to ", host, ":", port);
     Response response;
     const CallStatus status = client.request(type, params, response);

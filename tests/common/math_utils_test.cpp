@@ -82,18 +82,6 @@ TEST(LerpTest, Endpoints)
     EXPECT_DOUBLE_EQ(lerp(2.0, 6.0, 0.5), 4.0);
 }
 
-TEST(InterpTraceTest, InteriorAndClamping)
-{
-    const std::vector<double> xs = {0.0, 1.0, 3.0};
-    const std::vector<double> ys = {10.0, 20.0, 0.0};
-    EXPECT_DOUBLE_EQ(interp_trace(xs, ys, -1.0), 10.0);
-    EXPECT_DOUBLE_EQ(interp_trace(xs, ys, 0.0), 10.0);
-    EXPECT_DOUBLE_EQ(interp_trace(xs, ys, 0.5), 15.0);
-    EXPECT_DOUBLE_EQ(interp_trace(xs, ys, 2.0), 10.0);
-    EXPECT_DOUBLE_EQ(interp_trace(xs, ys, 3.0), 0.0);
-    EXPECT_DOUBLE_EQ(interp_trace(xs, ys, 99.0), 0.0);
-}
-
 TEST(SummarizeTest, EmptyInput)
 {
     const SummaryStats stats = summarize({});

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -67,6 +68,43 @@ TEST(EnergyControllerTest, ChargesToTurnOn)
     // 16 mW * 0.9 => ~43 ms.
     EXPECT_GT(t, 0.01);
     EXPECT_LT(t, 1.0);
+}
+
+/// A harvester defined outside the library, through the §III-D
+/// extension interface.
+class ConstantPowerHarvester final : public EnergyHarvester
+{
+  public:
+    explicit ConstantPowerHarvester(double power_w) : power_w_(power_w) {}
+
+    double power(double) const override { return power_w_; }
+    double area_cm2() const override { return 4.0; }
+    std::string name() const override { return "constant-power"; }
+    std::unique_ptr<EnergyHarvester> clone() const override
+    {
+        return std::make_unique<ConstantPowerHarvester>(*this);
+    }
+
+  private:
+    double power_w_;
+};
+
+TEST(EnergyControllerTest, ChargesFromAnyHarvester)
+{
+    // 16 mW from a user-defined source charges exactly like the
+    // 8 cm^2 x 2 mW/cm^2 panel.
+    EnergyController custom(std::make_unique<ConstantPowerHarvester>(16e-3),
+                            Capacitor(cap_config(100e-6)),
+                            PowerManagementIc{PowerManagementIc::Config{}});
+    auto panel = make_controller(8.0, 2e-3, 100e-6);
+    for (int i = 0; i < 20; ++i) {
+        custom.step(i * 0.01, 0.01, 0.0);
+        panel.step(i * 0.01, 0.01, 0.0);
+    }
+    EXPECT_EQ(custom.harvester().name(), "constant-power");
+    EXPECT_GT(custom.voltage(), 0.0);
+    EXPECT_DOUBLE_EQ(custom.voltage(), panel.voltage());
+    EXPECT_EQ(custom.can_run(), panel.can_run());
 }
 
 TEST(EnergyControllerTest, DirectPathPowersLoadLargerThanCapacitor)

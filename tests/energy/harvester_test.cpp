@@ -38,27 +38,26 @@ INSTANTIATE_TEST_SUITE_P(TableIvRange, SolarPanelScalingTest,
 
 TEST(SolarPanelTest, TracksEnvironmentOverTime)
 {
-    auto env = std::make_shared<TraceSolarEnvironment>(
-        std::vector<double>{0.0, 10.0}, std::vector<double>{0.0, 2e-3});
+    DiurnalSolarEnvironment::Config config;
+    config.peak_k_eh = 2e-3;
+    auto env = std::make_shared<DiurnalSolarEnvironment>(config);
     SolarPanel panel(5.0, env);
-    EXPECT_DOUBLE_EQ(panel.power(0.0), 0.0);
-    EXPECT_DOUBLE_EQ(panel.power(5.0), 5.0 * 1e-3);
-    EXPECT_DOUBLE_EQ(panel.power(10.0), 5.0 * 2e-3);
-}
-
-TEST(SolarPanelTest, SetAreaUpdatesPower)
-{
-    SolarPanel panel(1.0, constant_env(1e-3));
-    panel.set_area_cm2(10.0);
-    EXPECT_DOUBLE_EQ(panel.power(0.0), 10e-3);
+    const double night_s = 0.0;
+    const double noon_s = 12 * 3600.0;
+    const double morning_s = 9 * 3600.0;
+    EXPECT_DOUBLE_EQ(panel.power(night_s), 0.0);
+    EXPECT_DOUBLE_EQ(panel.power(noon_s), 5.0 * env->k_eh(noon_s));
+    EXPECT_DOUBLE_EQ(panel.power(morning_s), 5.0 * env->k_eh(morning_s));
+    EXPECT_LT(panel.power(morning_s), panel.power(noon_s));
 }
 
 TEST(SolarPanelTest, CloneIsDeepEnough)
 {
-    SolarPanel panel(3.0, constant_env(1e-3));
-    auto copy = panel.clone();
-    panel.set_area_cm2(20.0);
+    auto panel = std::make_unique<SolarPanel>(3.0, constant_env(1e-3));
+    auto copy = panel->clone();
+    panel.reset();
     EXPECT_DOUBLE_EQ(copy->power(0.0), 3e-3);
+    EXPECT_DOUBLE_EQ(copy->area_cm2(), 3.0);
 }
 
 TEST(SolarPanelTest, NameMentionsEnvironment)
@@ -72,33 +71,14 @@ TEST(SolarPanelDeathTest, RejectsNonPositiveArea)
 {
     EXPECT_EXIT(SolarPanel(0.0, constant_env(1e-3)),
                 ::testing::ExitedWithCode(1), "area");
-    SolarPanel panel(1.0, constant_env(1e-3));
-    EXPECT_EXIT(panel.set_area_cm2(-2.0), ::testing::ExitedWithCode(1),
-                "area");
+    EXPECT_EXIT(SolarPanel(-2.0, constant_env(1e-3)),
+                ::testing::ExitedWithCode(1), "area");
 }
 
 TEST(SolarPanelDeathTest, RejectsNullEnvironment)
 {
     EXPECT_EXIT(SolarPanel(1.0, nullptr), ::testing::ExitedWithCode(1),
                 "environment");
-}
-
-TEST(ThermalHarvesterTest, ConstantPower)
-{
-    ThermalHarvester teg(4.0, 0.5e-3);
-    EXPECT_DOUBLE_EQ(teg.power(0.0), 2e-3);
-    EXPECT_DOUBLE_EQ(teg.power(12345.0), 2e-3);
-    EXPECT_DOUBLE_EQ(teg.area_cm2(), 4.0);
-    EXPECT_EQ(teg.name(), "thermal-teg");
-}
-
-TEST(ThermalHarvesterTest, PolymorphicUseThroughInterface)
-{
-    std::unique_ptr<EnergyHarvester> harvester =
-        std::make_unique<ThermalHarvester>(2.0, 1e-3);
-    EXPECT_DOUBLE_EQ(harvester->power(0.0), 2e-3);
-    auto copy = harvester->clone();
-    EXPECT_DOUBLE_EQ(copy->power(0.0), 2e-3);
 }
 
 }  // namespace

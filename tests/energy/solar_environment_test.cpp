@@ -1,5 +1,5 @@
 /// \file
-/// Tests for the solar-environment models (constant / diurnal / trace).
+/// Tests for the solar-environment models (constant / diurnal).
 
 #include "energy/solar_environment.hpp"
 
@@ -119,34 +119,6 @@ TEST_F(DiurnalEnvTest, RejectsInvalidConfig)
     config_.sunset_s = config_.sunrise_s;
     EXPECT_EXIT(DiurnalSolarEnvironment{config_},
                 ::testing::ExitedWithCode(1), "sunset");
-}
-
-TEST(TraceEnvTest, InterpolatesAndClamps)
-{
-    TraceSolarEnvironment env({0.0, 100.0}, {1e-3, 3e-3});
-    EXPECT_DOUBLE_EQ(env.k_eh(-10.0), 1e-3);
-    EXPECT_DOUBLE_EQ(env.k_eh(0.0), 1e-3);
-    EXPECT_DOUBLE_EQ(env.k_eh(50.0), 2e-3);
-    EXPECT_DOUBLE_EQ(env.k_eh(100.0), 3e-3);
-    EXPECT_DOUBLE_EQ(env.k_eh(1000.0), 3e-3);
-}
-
-TEST(TraceEnvDeathTest, RejectsUnsortedTimes)
-{
-    EXPECT_EXIT(TraceSolarEnvironment({1.0, 1.0}, {1e-3, 1e-3}),
-                ::testing::ExitedWithCode(1), "strictly increasing");
-}
-
-TEST(TraceEnvDeathTest, RejectsNegativeValues)
-{
-    EXPECT_EXIT(TraceSolarEnvironment({0.0, 1.0}, {1e-3, -1e-3}),
-                ::testing::ExitedWithCode(1), ">= 0");
-}
-
-TEST(TraceEnvDeathTest, RejectsEmptyTrace)
-{
-    EXPECT_EXIT(TraceSolarEnvironment({}, {}),
-                ::testing::ExitedWithCode(1), "non-empty");
 }
 
 }  // namespace

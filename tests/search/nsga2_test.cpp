@@ -66,9 +66,10 @@ TEST(CrowdingDistancesTest, TinyFrontsAreAllInfinite)
 }
 
 /// Classic convex test problem (Schaffer-like on [0,1]^1 scaled):
-/// f1 = x^2, f2 = (x-1)^2; the true front is x in [0,1].
+/// f1 = x^2, f2 = (x-1)^2; the true front is x in [0,1]. The evaluation
+/// index is ignored.
 std::array<double, 2>
-schaffer(const std::vector<double>& genes)
+schaffer(std::size_t, const std::vector<double>& genes)
 {
     const double x = genes[0];
     return {x * x, (x - 1.0) * (x - 1.0)};

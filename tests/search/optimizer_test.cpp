@@ -10,9 +10,10 @@
 namespace chrysalis::search {
 namespace {
 
-/// Convex bowl with optimum at (0.3, 0.7).
+/// Convex bowl with optimum at (0.3, 0.7). The fitness functions below
+/// ignore the evaluation index.
 double
-bowl(const std::vector<double>& genes)
+bowl(std::size_t, const std::vector<double>& genes)
 {
     const double dx = genes[0] - 0.3;
     const double dy = genes[1] - 0.7;
@@ -22,7 +23,7 @@ bowl(const std::vector<double>& genes)
 /// Deceptive multi-modal function: narrow global optimum at 0.85, broad
 /// local optimum at 0.2.
 double
-deceptive(const std::vector<double>& genes)
+deceptive(std::size_t, const std::vector<double>& genes)
 {
     const double x = genes[0];
     const double local = 0.5 + 0.5 * std::pow(x - 0.2, 2.0);
@@ -89,7 +90,7 @@ TEST(GeneticOptimizerTest, BeatsRandomInHigherDimensions)
     // GA's advantage appears when the search space has several knobs
     // (5 genes, like the future-AuT space). Quadratic bowl centered off
     // the middle of the cube.
-    const auto bowl5 = [](const std::vector<double>& genes) {
+    const auto bowl5 = [](std::size_t, const std::vector<double>& genes) {
         double sum = 0.0;
         const double targets[5] = {0.3, 0.7, 0.15, 0.9, 0.5};
         for (int i = 0; i < 5; ++i) {
@@ -165,7 +166,8 @@ TEST(GridOptimizerTest, OneDimensionalSweep)
     options.population = 11;
     options.generations = 1;
     const auto result = optimize_grid(
-        1, options, [](const std::vector<double>& g) { return g[0]; });
+        1, options,
+        [](std::size_t, const std::vector<double>& g) { return g[0]; });
     EXPECT_EQ(result.evaluations, 11);
     EXPECT_DOUBLE_EQ(result.best_genes[0], 0.0);
 }
@@ -202,7 +204,7 @@ TEST(GeneticOptimizerTest, WarmStartNeverWorseThanSeed)
     OptimizerOptions options = small_budget();
     options.seed_genes.push_back({1.0, 0.0});
     const auto result = optimize_genetic(2, options, bowl);
-    EXPECT_LE(result.best_score, bowl({1.0, 0.0}));
+    EXPECT_LE(result.best_score, bowl(0, {1.0, 0.0}));
 }
 
 TEST(GeneticOptimizerDeathTest, WrongSizedSeedIsFatal)

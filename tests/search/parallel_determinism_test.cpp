@@ -19,9 +19,10 @@
 namespace chrysalis::search {
 namespace {
 
-/// Pure, thread-safe synthetic fitness with several local minima.
+/// Pure, thread-safe synthetic fitness with several local minima; the
+/// evaluation index is ignored.
 double
-synthetic_fitness(const std::vector<double>& genes)
+synthetic_fitness(std::size_t, const std::vector<double>& genes)
 {
     double score = 0.0;
     for (std::size_t g = 0; g < genes.size(); ++g) {
@@ -96,7 +97,7 @@ TEST(ParallelDeterminismTest, IndexedFitnessSeesSequentialIndices)
                 if (index < seen.size())
                     ++seen[index];
             }
-            return synthetic_fitness(genes);
+            return synthetic_fitness(index, genes);
         };
     const auto result = optimize_genetic(4, small_options(4), fitness);
     EXPECT_EQ(result.evaluations, static_cast<int>(result.history.size()));
@@ -107,10 +108,11 @@ TEST(ParallelDeterminismTest, IndexedFitnessSeesSequentialIndices)
 
 TEST(ParallelDeterminismTest, Nsga2MatchesSerialAtFourThreads)
 {
-    const BiFitnessFn fitness = [](const std::vector<double>& genes) {
-        return std::array<double, 2>{synthetic_fitness(genes),
-                                     1.0 - genes[0]};
-    };
+    const IndexedBiFitnessFn fitness =
+        [](std::size_t index, const std::vector<double>& genes) {
+            return std::array<double, 2>{synthetic_fitness(index, genes),
+                                         1.0 - genes[0]};
+        };
     const auto serial = optimize_nsga2(3, small_options(1), fitness);
     const auto parallel = optimize_nsga2(3, small_options(4), fitness);
     EXPECT_EQ(serial.evaluations, parallel.evaluations);

@@ -36,6 +36,16 @@ loopback_options(int threads)
     return options;
 }
 
+/// Client options bounding the dial and each reply by \p timeout_s.
+serve::ClientOptions
+client_timeouts(double timeout_s)
+{
+    serve::ClientOptions options;
+    options.connect_timeout_s = timeout_s;
+    options.request_timeout_s = timeout_s;
+    return options;
+}
+
 /// The deterministic mini-workload shared by the comparison tests:
 /// request i carries id i+1.
 std::vector<std::pair<std::string, FlatJsonFields>>
@@ -62,8 +72,8 @@ reference_replies(
 {
     serve::Server reference(loopback_options(1));
     reference.start();
-    serve::Client client;
-    EXPECT_TRUE(client.connect("127.0.0.1", reference.port(), 60.0));
+    serve::Client client(client_timeouts(60.0));
+    EXPECT_TRUE(client.connect("127.0.0.1", reference.port()));
     std::vector<std::string> replies;
     for (std::size_t i = 0; i < workload.size(); ++i) {
         client.set_next_id(i + 1);
@@ -98,8 +108,8 @@ TEST(ServeChaos, TornServerWritesStillYieldByteIdenticalReplies)
     const std::vector<std::string> expected =
         reference_replies(workload);
 
-    serve::Client client;
-    ASSERT_TRUE(client.connect("127.0.0.1", server.port(), 60.0));
+    serve::Client client(client_timeouts(60.0));
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
     for (std::size_t i = 0; i < workload.size(); ++i) {
         client.set_next_id(i + 1);
         serve::Response response;
@@ -216,8 +226,8 @@ TEST(ServeChaos, SlowLorisHalfFrameIsReapedByReadTimeout)
     serve::Server server(options);
     server.start();
 
-    serve::Client loris;
-    ASSERT_TRUE(loris.connect("127.0.0.1", server.port(), 10.0));
+    serve::Client loris(client_timeouts(10.0));
+    ASSERT_TRUE(loris.connect("127.0.0.1", server.port()));
     // Three bytes of a length prefix, then silence: a half-sent frame
     // that an honest peer would have completed within milliseconds.
     ASSERT_TRUE(loris.send_bytes("\x00\x00\x01", 3));
@@ -231,8 +241,8 @@ TEST(ServeChaos, SlowLorisHalfFrameIsReapedByReadTimeout)
 
     // A well-behaved connection that completes its frames promptly is
     // unaffected by the read timeout.
-    serve::Client honest;
-    ASSERT_TRUE(honest.connect("127.0.0.1", server.port(), 10.0));
+    serve::Client honest(client_timeouts(10.0));
+    ASSERT_TRUE(honest.connect("127.0.0.1", server.port()));
     serve::Response response;
     ASSERT_TRUE(honest.call("server_stats", {}, response));
     EXPECT_TRUE(response.ok);
@@ -246,8 +256,8 @@ TEST(ServeChaos, IdleConnectionsAreReapedWhenEnabled)
     serve::Server server(options);
     server.start();
 
-    serve::Client idler;
-    ASSERT_TRUE(idler.connect("127.0.0.1", server.port(), 10.0));
+    serve::Client idler(client_timeouts(10.0));
+    ASSERT_TRUE(idler.connect("127.0.0.1", server.port()));
     serve::Response response;
     ASSERT_TRUE(idler.call("server_stats", {}, response));
 
@@ -264,8 +274,8 @@ TEST(ServeChaos, HealthRequestReportsReadiness)
 {
     serve::Server server(loopback_options(1));
     server.start();
-    serve::Client client;
-    ASSERT_TRUE(client.connect("127.0.0.1", server.port(), 10.0));
+    serve::Client client(client_timeouts(10.0));
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
 
     serve::Response response;
     ASSERT_TRUE(client.call("health", {}, response));

@@ -35,10 +35,19 @@ serve::ServerOptions loopback_options(int threads)
     return options;
 }
 
+/// Client options bounding the dial and each reply by \p timeout_s.
+serve::ClientOptions client_timeouts(double timeout_s)
+{
+    serve::ClientOptions options;
+    options.connect_timeout_s = timeout_s;
+    options.request_timeout_s = timeout_s;
+    return options;
+}
+
 serve::Client connect_to(const serve::Server& server)
 {
-    serve::Client client;
-    EXPECT_TRUE(client.connect("127.0.0.1", server.port(), 120.0));
+    serve::Client client(client_timeouts(120.0));
+    EXPECT_TRUE(client.connect("127.0.0.1", server.port()));
     return client;
 }
 

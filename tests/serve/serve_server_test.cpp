@@ -32,10 +32,19 @@ serve::ServerOptions loopback_options(int threads)
     return options;
 }
 
+/// Client options bounding the dial and each reply by \p timeout_s.
+serve::ClientOptions client_timeouts(double timeout_s)
+{
+    serve::ClientOptions options;
+    options.connect_timeout_s = timeout_s;
+    options.request_timeout_s = timeout_s;
+    return options;
+}
+
 serve::Client connect_to(const serve::Server& server)
 {
-    serve::Client client;
-    EXPECT_TRUE(client.connect("127.0.0.1", server.port(), 60.0));
+    serve::Client client(client_timeouts(60.0));
+    EXPECT_TRUE(client.connect("127.0.0.1", server.port()));
     return client;
 }
 
@@ -326,8 +335,8 @@ TEST(ServeServer, SixteenClientRepliesMatchSingleThreadedServer)
     std::atomic<int> failures{0};
     runtime::ThreadPool clients(static_cast<int>(n_clients));
     clients.parallel_for(n_clients, [&](std::size_t c) {
-        serve::Client client;
-        if (!client.connect("127.0.0.1", loaded.port(), 60.0)) {
+        serve::Client client(client_timeouts(60.0));
+        if (!client.connect("127.0.0.1", loaded.port())) {
             failures.fetch_add(1);
             return;
         }
