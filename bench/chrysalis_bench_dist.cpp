@@ -15,11 +15,11 @@
 ///     own headline (`fleet_pull_s`).
 ///  3. --chaos: a hostile fleet — one worker that is *dead* before the
 ///     campaign starts (its port was released by a stopped server),
-///     one behind a `serve::ChaosProxy` with a seed-deterministic
-///     `fault::NetFaultInjector` (refused connects, torn writes,
-///     resets), and one healthy worker that is killed mid-run. The
-///     gates: the campaign still completes, at least one case was
-///     reassigned, and the bytes still match the oracle.
+///     one whose chaos hook (`ServerOptions::chaos`) runs a
+///     seed-deterministic `fault::NetFaultInjector` (refused connects,
+///     torn writes, resets), and one healthy worker that is killed
+///     mid-run. The gates: the campaign still completes, at least one
+///     case was reassigned, and the bytes still match the oracle.
 ///
 /// Every distributed pass also exercises the fleet-telemetry path:
 /// each in-process worker carries its own TraceSession/MetricsRegistry
@@ -58,7 +58,6 @@
 #include "fault/net_fault_injector.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "serve/chaos_proxy.hpp"
 #include "serve/server.hpp"
 
 namespace {
@@ -167,12 +166,12 @@ read_file(const std::string& path)
     return out.str();
 }
 
-/// Proxy-side chaos the coordinator's lanes must out-stubborn. Rates
-/// are deliberately milder than the serve load bench: a run_case
-/// request is long-lived, and every transient counts against a small
-/// per-lane budget.
+/// The survivor worker's chaos the coordinator's lanes must
+/// out-stubborn. Rates are deliberately milder than the serve load
+/// bench: a run_case request is long-lived, and every transient counts
+/// against a small per-lane budget.
 fault::NetFaultSpec
-proxy_chaos_spec(std::uint64_t seed)
+chaos_spec(std::uint64_t seed)
 {
     fault::NetFaultSpec spec;
     spec.seed = seed;
@@ -386,7 +385,7 @@ main(int argc, char** argv)
                     static_cast<double>(fleet_clamped));
     stage_headlines("", widest_totals);
 
-    // Chaos pass: dead worker + chaos-proxied worker + a healthy worker
+    // Chaos pass: dead worker + chaos-hooked worker + a healthy worker
     // killed mid-run. The fleet must still produce the oracle's bytes,
     // with at least one reassignment along the way.
     bool chaos_ok = true;
@@ -395,9 +394,8 @@ main(int argc, char** argv)
         const std::uint64_t chaos_seed = options.chaos_seed != 0
                                              ? options.chaos_seed
                                              : options.seed + 7791;
-        fault::NetFaultInjector proxy_chaos(proxy_chaos_spec(chaos_seed));
-        std::printf("chaos (proxy): %s\n",
-                    proxy_chaos.describe().c_str());
+        fault::NetFaultInjector chaos(chaos_spec(chaos_seed));
+        std::printf("chaos (survivor): %s\n", chaos.describe().c_str());
 
         // A worker that is dead on arrival: start a server only to
         // learn a just-released port, then aim a lane at it.
@@ -425,23 +423,17 @@ main(int argc, char** argv)
         server_options.worker_id = "chaos-survivor";
         server_options.metrics_source = survivor_kit.registry.get();
         server_options.trace_source = survivor_kit.trace.get();
+        server_options.chaos = &chaos;
         serve::Server survivor(server_options);
         survivor.start();
-        serve::ChaosProxyOptions proxy_options;
-        proxy_options.host = "127.0.0.1";
-        proxy_options.upstream_host = "127.0.0.1";
-        proxy_options.upstream_port = survivor.port();
-        proxy_options.chaos = &proxy_chaos;
-        serve::ChaosProxy proxy(proxy_options);
-        proxy.start();
 
         dist::DistCampaignOptions dist_options;
         dist_options.workers = {{"127.0.0.1", victim.port()},
-                                {"127.0.0.1", proxy.port()},
+                                {"127.0.0.1", survivor.port()},
                                 {"127.0.0.1", dead_port}};
         dist_options.streams_per_worker = options.streams;
-        // A little more patience per lane: the proxy path eats
-        // transients by design and must not die with the victim.
+        // A little more patience per lane: the chaos-hooked survivor
+        // eats transients by design and must not die with the victim.
         dist_options.max_worker_failures = 4;
         dist_options.journal_path = dist_journal;
         // The chaos fleet writes its own merged artifacts: the gate is
@@ -463,7 +455,6 @@ main(int argc, char** argv)
             dist::run_distributed_campaign(spec, dist_options);
         const double wall_s = timer.elapsed_s();
         killer.join();
-        proxy.stop();
         survivor.stop();
 
         const bool csv_identical =

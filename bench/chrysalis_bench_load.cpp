@@ -20,11 +20,10 @@
 /// smoke job does this). The run report is BENCH_serve_load.json.
 ///
 /// --chaos turns the run into a network chaos gate: the in-process
-/// server gets a seed-deterministic `fault::NetFaultInjector` (torn
-/// writes, delayed reads, mid-frame resets, accept stalls), a
-/// `serve::ChaosProxy` with a second injector (plus connection
-/// refusals) sits between the clients and the daemon, and the clients
-/// switch to the resilient `Client::request()` path. The gates become:
+/// server's chaos hook (`ServerOptions::chaos`) gets a seed-deterministic
+/// `fault::NetFaultInjector` (refused connections, accept stalls, torn
+/// writes, delayed reads, mid-frame resets), and the clients switch to
+/// the resilient `Client::request()` path. The gates become:
 /// 100% of requests must *eventually* succeed through retries, and
 /// every reply must still be byte-identical to the chaos-free
 /// single-threaded reference replay. The retry/timeout/chaos counters
@@ -47,7 +46,6 @@
 #include "fault/net_fault_injector.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
-#include "serve/chaos_proxy.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 
@@ -192,41 +190,24 @@ build_workload(const LoadOptions& options)
     return items;
 }
 
-/// Server-side chaos: torn/stalled reply writes, deferred reads,
-/// occasional mid-frame resets and accept stalls.
+/// The chaos schedule on the server's hook: every fault class, refused
+/// connections included, at rates that make each class fire several
+/// times in a default 500-request run — the side the resilient client
+/// must out-stubborn.
 fault::NetFaultSpec
-server_chaos_spec(std::uint64_t seed)
-{
-    fault::NetFaultSpec spec;
-    spec.seed = seed;
-    spec.torn_write_probability = 0.15;
-    spec.torn_write_chunk_bytes = 9;
-    spec.torn_write_stall_s = 0.0005;
-    spec.read_delay_probability = 0.10;
-    spec.read_delay_s = 0.002;
-    spec.reset_probability = 0.01;
-    spec.accept_stall_probability = 0.05;
-    spec.accept_stall_s = 0.005;
-    return spec;
-}
-
-/// Client-facing chaos at the proxy: everything above plus refused
-/// connections, at higher rates — this is the side the resilient
-/// client must out-stubborn.
-fault::NetFaultSpec
-proxy_chaos_spec(std::uint64_t seed)
+chaos_spec(std::uint64_t seed)
 {
     fault::NetFaultSpec spec;
     spec.seed = seed;
     spec.connect_refusal_probability = 0.10;
-    spec.torn_write_probability = 0.20;
+    spec.accept_stall_probability = 0.15;
+    spec.accept_stall_s = 0.005;
+    spec.torn_write_probability = 0.40;
     spec.torn_write_chunk_bytes = 7;
     spec.torn_write_stall_s = 0.0005;
-    spec.read_delay_probability = 0.10;
+    spec.read_delay_probability = 0.25;
     spec.read_delay_s = 0.002;
-    spec.reset_probability = 0.02;
-    spec.accept_stall_probability = 0.05;
-    spec.accept_stall_s = 0.005;
+    spec.reset_probability = 0.04;
     return spec;
 }
 
@@ -270,23 +251,17 @@ main(int argc, char** argv)
 
     if (options.chaos && options.port != 0)
         fatal("--chaos requires the in-process server (omit --port): "
-              "the injectors hook the server and a local proxy");
+              "the injector hooks the server");
     const std::uint64_t chaos_seed =
         options.chaos_seed != 0 ? options.chaos_seed
                                 : options.seed + 7791;
 
-    // Chaos injectors outlive the server and proxy that borrow them.
-    std::unique_ptr<fault::NetFaultInjector> server_chaos;
-    std::unique_ptr<fault::NetFaultInjector> proxy_chaos;
+    // The chaos injector outlives the server that borrows it.
+    std::unique_ptr<fault::NetFaultInjector> chaos;
     if (options.chaos) {
-        server_chaos = std::make_unique<fault::NetFaultInjector>(
-            server_chaos_spec(chaos_seed));
-        proxy_chaos = std::make_unique<fault::NetFaultInjector>(
-            proxy_chaos_spec(chaos_seed + 1));
-        std::printf("chaos (server): %s\n",
-                    server_chaos->describe().c_str());
-        std::printf("chaos (proxy):  %s\n",
-                    proxy_chaos->describe().c_str());
+        chaos = std::make_unique<fault::NetFaultInjector>(
+            chaos_spec(chaos_seed));
+        std::printf("chaos: %s\n", chaos->describe().c_str());
     }
 
     // Target server: external (--port) or in-process.
@@ -296,7 +271,7 @@ main(int argc, char** argv)
         serve::ServerOptions server_options;
         server_options.host = options.host;
         server_options.threads = options.threads;
-        server_options.chaos = server_chaos.get();
+        server_options.chaos = chaos.get();
         own_server = std::make_unique<serve::Server>(server_options);
         own_server->start();
         port = own_server->port();
@@ -305,22 +280,6 @@ main(int argc, char** argv)
     } else {
         std::printf("targeting external server %s:%d\n",
                     options.host.c_str(), port);
-    }
-
-    // Under chaos the clients dial the proxy, not the daemon.
-    std::unique_ptr<serve::ChaosProxy> proxy;
-    int target_port = port;
-    if (options.chaos) {
-        serve::ChaosProxyOptions proxy_options;
-        proxy_options.host = options.host;
-        proxy_options.upstream_host = options.host;
-        proxy_options.upstream_port = port;
-        proxy_options.chaos = proxy_chaos.get();
-        proxy = std::make_unique<serve::ChaosProxy>(proxy_options);
-        proxy->start();
-        target_port = proxy->port();
-        std::printf("chaos proxy on %s:%d -> %d\n", options.host.c_str(),
-                    target_port, port);
     }
 
     const std::vector<WorkItem> workload = build_workload(options);
@@ -354,7 +313,7 @@ main(int argc, char** argv)
             client_options.circuit_breaker_threshold = 0;
             client_options.retry_seed = chaos_seed + 100 + client_index;
             serve::Client client(client_options);
-            if (!client.connect(options.host, target_port) &&
+            if (!client.connect(options.host, port) &&
                 !options.chaos) {
                 transport_failures.fetch_add(1);
                 return;
@@ -480,8 +439,6 @@ main(int argc, char** argv)
         std::printf("determinism check: %zu mismatches\n", mismatches);
     }
 
-    if (proxy != nullptr)
-        proxy->stop();
     if (own_server != nullptr)
         own_server->stop();
 
@@ -509,29 +466,19 @@ main(int argc, char** argv)
         bench::headline(
             "client_transport_errors",
             static_cast<double>(retry_totals.transport_errors));
-        const fault::NetFaultInjector::ActivationCounts server_hits =
-            server_chaos->activation_counts();
-        const fault::NetFaultInjector::ActivationCounts proxy_hits =
-            proxy_chaos->activation_counts();
+        const fault::NetFaultInjector::ActivationCounts hits =
+            chaos->activation_counts();
         bench::headline("chaos_torn_writes",
-                        static_cast<double>(server_hits.torn_writes +
-                                            proxy_hits.torn_writes));
-        bench::headline("chaos_resets",
-                        static_cast<double>(server_hits.resets +
-                                            proxy_hits.resets));
+                        static_cast<double>(hits.torn_writes));
+        bench::headline("chaos_resets", static_cast<double>(hits.resets));
         bench::headline("chaos_read_delays",
-                        static_cast<double>(server_hits.read_delays +
-                                            proxy_hits.read_delays));
-        bench::headline(
-            "chaos_connect_refusals",
-            static_cast<double>(server_hits.connect_refusals +
-                                proxy_hits.connect_refusals));
+                        static_cast<double>(hits.read_delays));
+        bench::headline("chaos_connect_refusals",
+                        static_cast<double>(hits.connect_refusals));
         bench::headline("chaos_accept_stalls",
-                        static_cast<double>(server_hits.accept_stalls +
-                                            proxy_hits.accept_stalls));
+                        static_cast<double>(hits.accept_stalls));
         bench::headline("chaos_activations_total",
-                        static_cast<double>(server_hits.total() +
-                                            proxy_hits.total()));
+                        static_cast<double>(hits.total()));
         std::printf("chaos: %llu retries, %llu reconnects, %llu "
                     "timeouts over %llu activations\n",
                     static_cast<unsigned long long>(
@@ -540,8 +487,7 @@ main(int argc, char** argv)
                         retry_totals.reconnects),
                     static_cast<unsigned long long>(
                         retry_totals.timeouts),
-                    static_cast<unsigned long long>(
-                        server_hits.total() + proxy_hits.total()));
+                    static_cast<unsigned long long>(hits.total()));
     }
 
     // The gates are identical with and without chaos: every request

@@ -28,7 +28,9 @@
 ///     --campaign <n>                  run an n-case campaign (objectives
 ///                                     cycle lat/sp/latsp) and print the
 ///                                     campaign CSV
-///     --threads <n>                   campaign case fan-out (0 = all)
+///     --threads <n>                   campaign case fan-out (default 0 =
+///                                     all cores; 1 = the whole run on
+///                                     one thread)
 ///     --metrics-out <file>            write a metrics JSON report
 ///     --trace-out <file>              write a Chrome trace-event JSON
 ///     --fault-dropout <p>             harvester dropout probability
@@ -83,7 +85,7 @@ struct CliOptions {
     bool validate = false;
     bool csv = false;
     int campaign = 0;  ///< 0 = single-solution mode
-    int threads = 1;
+    int threads = 0;   ///< campaign case fan-out; 0 = all cores
     std::string metrics_out;
     std::string trace_out;
     double fault_dropout = 0.0;
@@ -382,7 +384,8 @@ campaign_usage(const char* argv0)
         "          [--fleet-trace-out file] [--fleet-metrics-out file]\n"
         "Runs a campaign (objectives cycling latsp/lat/sp) and prints\n"
         "the campaign CSV. Without --workers the cases run in this\n"
-        "process (--threads fans out); with --workers they are\n"
+        "process (--threads fans them out: default 0 = all cores,\n"
+        "1 = the whole run on one thread); with --workers they are\n"
         "dispatched to chrysalis_served daemons, and the CSV (and\n"
         "--journal) is byte-identical to a local --deterministic run —\n"
         "at any worker count, including after reassignments.\n"
@@ -407,7 +410,7 @@ run_campaign_cli(int argc, char** argv, int first)
     std::string fleet_metrics_out;
     int streams = 1;
     double request_timeout_s = -1.0;  ///< <0 keeps the dist default
-    int threads = 1;
+    int threads = 0;                  ///< case fan-out; 0 = all cores
     bool deterministic = false;
     for (int i = first; i < argc; ++i) {
         std::string arg = argv[i];

@@ -62,11 +62,12 @@ struct CampaignResult {
 
 /// Campaign-level execution controls.
 struct CampaignOptions {
-    /// Case-level fan-out: 0 = all hardware threads, 1 = sequential.
-    /// Cases are independent searches with decorrelated seeds, so any
-    /// value produces identical entries in identical order; searches
-    /// running on campaign workers keep their inner evaluation serial
-    /// (nested pool batches run inline), avoiding oversubscription.
+    /// Case-level fan-out: 0 = all hardware threads, 1 = the whole
+    /// campaign on the calling thread. Cases are independent searches
+    /// with decorrelated seeds, so any value produces identical entries
+    /// in identical order. Each case's search always runs serially
+    /// (nested pool batches run inline, the serial fallback included),
+    /// so its memo hit/miss counters are deterministic too.
     int threads = 1;
 
     /// When true, a case whose evaluation fatals (bad derived

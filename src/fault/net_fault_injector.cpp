@@ -182,38 +182,6 @@ NetFaultInjector::activation_counts() const
     return counts;
 }
 
-void
-NetFaultInjector::publish(obs::MetricsRegistry& registry) const
-{
-    const ActivationCounts counts = activation_counts();
-    registry.gauge("fault/net/connect_refusals")
-        .set(static_cast<double>(counts.connect_refusals));
-    registry.gauge("fault/net/accept_stalls")
-        .set(static_cast<double>(counts.accept_stalls));
-    registry.gauge("fault/net/torn_writes")
-        .set(static_cast<double>(counts.torn_writes));
-    registry.gauge("fault/net/resets")
-        .set(static_cast<double>(counts.resets));
-    registry.gauge("fault/net/read_delays")
-        .set(static_cast<double>(counts.read_delays));
-}
-
-void
-NetFaultInjector::add_to_hash(StableHash& hash) const
-{
-    hash.add(std::string_view("net-fault-injector"))
-        .add(spec_.seed)
-        .add(spec_.connect_refusal_probability)
-        .add(spec_.accept_stall_probability)
-        .add(spec_.accept_stall_s)
-        .add(spec_.torn_write_probability)
-        .add(static_cast<std::uint64_t>(spec_.torn_write_chunk_bytes))
-        .add(spec_.torn_write_stall_s)
-        .add(spec_.reset_probability)
-        .add(spec_.read_delay_probability)
-        .add(spec_.read_delay_s);
-}
-
 std::string
 NetFaultInjector::describe() const
 {

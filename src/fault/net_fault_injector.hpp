@@ -29,8 +29,9 @@
 ///
 /// The injector itself is pure arithmetic — no sockets, no syscalls —
 /// so it lives in src/fault/ untouched by the network-header lint
-/// fence; the code that *acts* on its decisions (serve::Server's chaos
-/// hook, serve::ChaosProxy) lives in src/serve/.
+/// fence. The one code path that *acts* on its decisions is
+/// serve::Server's chaos hook (`ServerOptions::chaos`), inside the
+/// poll loop that owns the sockets.
 
 #ifndef CHRYSALIS_FAULT_NET_FAULT_INJECTOR_HPP
 #define CHRYSALIS_FAULT_NET_FAULT_INJECTOR_HPP
@@ -39,9 +40,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-
-#include "obs/metrics.hpp"
-#include "common/stable_hash.hpp"
 
 namespace chrysalis::fault {
 
@@ -125,10 +123,6 @@ class NetFaultInjector
     double read_delay(std::uint64_t connection_id,
                       std::uint64_t read_index) const;
 
-    /// Folds the full chaos configuration into \p hash, so artifacts
-    /// produced under different schedules never alias.
-    void add_to_hash(StableHash& hash) const;
-
     /// One-line summary of the active fault classes for reports.
     std::string describe() const;
 
@@ -150,10 +144,6 @@ class NetFaultInjector
         }
     };
     ActivationCounts activation_counts() const;
-
-    /// Publishes activation_counts() onto \p registry as "fault/net/*"
-    /// gauges (idempotent republish, like FaultInjector::publish).
-    void publish(obs::MetricsRegistry& registry) const;
 
   private:
     /// Uniform [0, 1) hash of (seed, stream, a, b); pure and stateless.

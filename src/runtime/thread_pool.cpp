@@ -41,6 +41,25 @@ namespace {
 /// to run nested batches inline instead of deadlocking on the queue.
 thread_local bool t_on_pool_thread = false;
 
+/// Marks the current thread as running a pool task for the scope's
+/// lifetime and restores the previous mark on every exit, a throw
+/// included.
+class PoolThreadScope
+{
+  public:
+    PoolThreadScope() : previous_(t_on_pool_thread)
+    {
+        t_on_pool_thread = true;
+    }
+    ~PoolThreadScope() { t_on_pool_thread = previous_; }
+
+    PoolThreadScope(const PoolThreadScope&) = delete;
+    PoolThreadScope& operator=(const PoolThreadScope&) = delete;
+
+  private:
+    bool previous_;
+};
+
 }  // namespace
 
 int
@@ -127,24 +146,24 @@ ThreadPool::worker_loop()
 void
 ThreadPool::run_batch(Batch& batch)
 {
-    const bool was_on_pool_thread = t_on_pool_thread;
-    t_on_pool_thread = true;
-    while (!batch.abort.load(std::memory_order_relaxed)) {
-        const std::size_t index =
-            batch.next.fetch_add(1, std::memory_order_relaxed);
-        if (index >= batch.count)
-            break;
-        try {
-            (*batch.body)(index);
-            batch.executed.fetch_add(1, std::memory_order_relaxed);
-        } catch (...) {
-            MutexLock lock(batch.mutex);
-            if (!batch.error)
-                batch.error = std::current_exception();
-            batch.abort.store(true, std::memory_order_relaxed);
+    {
+        const PoolThreadScope scope;
+        while (!batch.abort.load(std::memory_order_relaxed)) {
+            const std::size_t index =
+                batch.next.fetch_add(1, std::memory_order_relaxed);
+            if (index >= batch.count)
+                break;
+            try {
+                (*batch.body)(index);
+                batch.executed.fetch_add(1, std::memory_order_relaxed);
+            } catch (...) {
+                MutexLock lock(batch.mutex);
+                if (!batch.error)
+                    batch.error = std::current_exception();
+                batch.abort.store(true, std::memory_order_relaxed);
+            }
         }
     }
-    t_on_pool_thread = was_on_pool_thread;
     {
         // Notify while holding the lock: the batch lives on the caller's
         // stack and is destroyed as soon as the waiter sees 0 pending
@@ -165,8 +184,13 @@ ThreadPool::parallel_for(std::size_t count,
     if (threads_ == 1 || count == 1 || t_on_pool_thread) {
         // Serial fallback: index order, exceptions propagate directly.
         // This path is what `threads == 1` reproducibility rests on.
-        for (std::size_t i = 0; i < count; ++i)
-            body(i);
+        // The body still runs as a pool task, so a pool it builds runs
+        // inline too: the whole batch stays on this one thread.
+        {
+            const PoolThreadScope scope;
+            for (std::size_t i = 0; i < count; ++i)
+                body(i);
+        }
         {
             MutexLock lock(stats_mutex_);
             ++stats_.batches;

@@ -12,7 +12,9 @@
 ///    thread count (provided the body is pure per index);
 ///  - a `parallel_for` issued from inside a pool task — the same pool or
 ///    any other — runs inline, so nested parallelism degrades gracefully
-///    instead of deadlocking or oversubscribing the machine.
+///    instead of deadlocking or oversubscribing the machine. A body run
+///    by the serial fallback counts as a pool task too, so a serial
+///    outer level keeps the whole batch on the calling thread.
 ///
 /// Workers are spawned lazily on the first non-inline batch, so pools
 /// constructed on (or delegating to) worker threads cost nothing.
@@ -66,7 +68,8 @@ class ThreadPool
     /// invocation throws, remaining un-started indices are abandoned and
     /// the first captured exception is rethrown to the caller. Runs
     /// inline (serially, in index order) when `count <= 1`, when the pool
-    /// has a single thread, or when called from inside any pool task.
+    /// has a single thread, or when called from inside any pool task;
+    /// either way `body` runs with on_pool_thread() true.
     void parallel_for(std::size_t count,
                       const std::function<void(std::size_t)>& body);
 

@@ -3,12 +3,17 @@
 
 #include "core/campaign.hpp"
 
+#include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/string_utils.hpp"
+#include "core/campaign_spec.hpp"
 #include "dnn/model_zoo.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace chrysalis::core {
 namespace {
@@ -84,6 +89,50 @@ TEST(CampaignTest, CsvHasHeaderAndOneRowPerCase)
     const auto header_fields = split(lines[0], ',').size();
     for (std::size_t i = 1; i < lines.size(); ++i)
         EXPECT_EQ(split(lines[i], ',').size(), header_fields) << i;
+}
+
+std::string
+deterministic_csv(const CampaignResult& result)
+{
+    std::ostringstream os;
+    result.write_csv(os, CsvColumns::kDeterministic);
+    return os.str();
+}
+
+TEST(CampaignTest, SerialRunsAreByteIdenticalIncludingMemoCounters)
+{
+    // The deterministic CSV carries the memo hit/miss counters, which
+    // only repeat when each search runs on one thread: a serial campaign
+    // and a batch of one (a worker's run_case micro-batch) must keep the
+    // searches they run off any freshly built pool.
+    CampaignSpec spec;
+    spec.cases = 48;
+    spec.population = 16;
+    spec.generations = 8;
+    const dnn::Model model = dnn::make_model(spec.model);
+    const std::vector<CampaignCase> cases =
+        build_campaign_cases(spec, model);
+    std::unique_ptr<fault::FaultInjector> faults;
+    const search::ExplorerOptions options =
+        build_explorer_options(spec, faults);
+
+    CampaignOptions serial;
+    serial.threads = 1;
+    const std::string first =
+        deterministic_csv(run_campaign(cases, options, serial));
+    EXPECT_EQ(deterministic_csv(run_campaign(cases, options, serial)),
+              first);
+
+    const auto batch_of_one = [&] {
+        CampaignResult result;
+        result.entries.resize(1);
+        runtime::ThreadPool pool(0);
+        pool.parallel_for(1, [&](std::size_t) {
+            result.entries[0] = run_campaign_case(cases[5], options, 5);
+        });
+        return deterministic_csv(result);
+    };
+    EXPECT_EQ(batch_of_one(), batch_of_one());
 }
 
 TEST(CampaignDeathTest, EmptyCampaignIsFatal)

@@ -1,7 +1,7 @@
 /// \file
 /// Tests for the network fault injector: spec validation, seed
-/// determinism and query-order independence, per-class streams,
-/// activation accounting and metrics publication.
+/// determinism and query-order independence, per-class streams and
+/// activation accounting.
 
 #include "fault/net_fault_injector.hpp"
 
@@ -9,9 +9,6 @@
 #include <vector>
 
 #include <gtest/gtest.h>
-
-#include "obs/metrics.hpp"
-#include "common/stable_hash.hpp"
 
 namespace chrysalis::fault {
 namespace {
@@ -166,45 +163,6 @@ TEST(NetFaultInjectorTest, CertainProbabilitiesFireEveryTime)
     EXPECT_EQ(counts.resets, 32u);
     EXPECT_EQ(counts.read_delays, 32u);
     EXPECT_EQ(counts.total(), 5u * 32u);
-}
-
-TEST(NetFaultInjectorTest, PublishExportsActivationGauges)
-{
-    NetFaultSpec spec;
-    spec.seed = 11;
-    spec.read_delay_probability = 1.0;
-    const NetFaultInjector injector(spec);
-    for (std::uint64_t op = 0; op < 10; ++op)
-        EXPECT_GT(injector.read_delay(4, op), 0.0);
-
-    obs::MetricsRegistry registry;
-    injector.publish(registry);
-    EXPECT_EQ(registry.gauge("fault/net/read_delays").value(), 10.0);
-    EXPECT_EQ(registry.gauge("fault/net/torn_writes").value(), 0.0);
-    // Republish after more activity: gauges are set, not accumulated.
-    for (std::uint64_t op = 10; op < 15; ++op)
-        EXPECT_GT(injector.read_delay(4, op), 0.0);
-    injector.publish(registry);
-    EXPECT_EQ(registry.gauge("fault/net/read_delays").value(), 15.0);
-}
-
-TEST(NetFaultInjectorTest, HashCoversTheSpec)
-{
-    StableHash baseline_hash;
-    NetFaultInjector(storm_spec(3)).add_to_hash(baseline_hash);
-    StableHash same_hash;
-    NetFaultInjector(storm_spec(3)).add_to_hash(same_hash);
-    EXPECT_EQ(baseline_hash.key(), same_hash.key());
-
-    StableHash different_hash;
-    NetFaultInjector(storm_spec(4)).add_to_hash(different_hash);
-    EXPECT_FALSE(baseline_hash.key() == different_hash.key());
-
-    NetFaultSpec tweaked = storm_spec(3);
-    tweaked.torn_write_chunk_bytes = 6;
-    StableHash tweaked_hash;
-    NetFaultInjector(tweaked).add_to_hash(tweaked_hash);
-    EXPECT_FALSE(baseline_hash.key() == tweaked_hash.key());
 }
 
 TEST(NetFaultInjectorTest, DescribeNamesActiveClasses)

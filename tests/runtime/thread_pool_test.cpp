@@ -38,14 +38,33 @@ TEST(ThreadPoolTest, SingleThreadRunsInlineInIndexOrder)
 {
     ThreadPool pool(1);
     std::vector<std::size_t> order;  // no mutex: must stay single-threaded
-    pool.parallel_for(16, [&](std::size_t i) { order.push_back(i); });
+    std::vector<PoolStats> nested;
+    pool.parallel_for(16, [&](std::size_t i) {
+        order.push_back(i);
+        // The serial body is a pool task: a pool it builds stays inline
+        // instead of spawning workers behind the serial outer level.
+        EXPECT_TRUE(ThreadPool::on_pool_thread());
+        ThreadPool inner(4);
+        inner.parallel_for(8, [](std::size_t) {});
+        nested.push_back(inner.stats());
+    });
+    EXPECT_FALSE(ThreadPool::on_pool_thread());
     ASSERT_EQ(order.size(), 16u);
     for (std::size_t i = 0; i < order.size(); ++i)
         EXPECT_EQ(order[i], i);
+    for (const PoolStats& inner : nested)
+        EXPECT_EQ(inner.inline_batches, 1u);
     const PoolStats stats = pool.stats();
     EXPECT_EQ(stats.batches, 1u);
     EXPECT_EQ(stats.inline_batches, 1u);
     EXPECT_EQ(stats.tasks, 16u);
+
+    // A batch of one on a wide pool takes the same serial path.
+    ThreadPool wide(4);
+    wide.parallel_for(1, [](std::size_t) {
+        EXPECT_TRUE(ThreadPool::on_pool_thread());
+    });
+    EXPECT_FALSE(ThreadPool::on_pool_thread());
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce)
@@ -98,9 +117,17 @@ TEST(ThreadPoolTest, PoolIsUsableAfterAnException)
 TEST(ThreadPoolTest, ExceptionOnSerialFallbackPropagates)
 {
     ThreadPool pool(1);
-    EXPECT_THROW(pool.parallel_for(
-                     4, [](std::size_t) { throw std::runtime_error("s"); }),
+    bool marked = false;
+    EXPECT_THROW(pool.parallel_for(4,
+                                   [&](std::size_t) {
+                                       marked = ThreadPool::on_pool_thread();
+                                       throw std::runtime_error("s");
+                                   }),
                  std::runtime_error);
+    EXPECT_TRUE(marked);
+    // The throw must not leave the caller marked as a pool thread, or
+    // every later batch it issues would silently run inline.
+    EXPECT_FALSE(ThreadPool::on_pool_thread());
 }
 
 TEST(ThreadPoolTest, NestedParallelForOnSamePoolCompletes)
