@@ -11,23 +11,28 @@
 ///     against 1, 2 and 4 in-process `serve::Server` workers;
 ///     per-worker-count throughput and the byte-identity gate land in
 ///     the report. The campaign walls (`wall_s_<n>w`, `speedup_4w`)
-///     leave out the widest pass's fleet telemetry pull, which is its
-///     own headline (`fleet_pull_s`).
+///     time `run_distributed_campaign` alone; the widest pass's fleet
+///     telemetry pull is a separate call with its own headline
+///     (`fleet_pull_s`).
 ///  3. --chaos: a hostile fleet — one worker that is *dead* before the
 ///     campaign starts (its port was released by a stopped server),
 ///     one whose chaos hook (`ServerOptions::chaos`) runs a
 ///     seed-deterministic `fault::NetFaultInjector` (refused connects,
 ///     torn writes, resets), and one healthy worker that is killed
-///     mid-run. The gates: the campaign still completes, at least one
-///     case was reassigned, and the bytes still match the oracle.
+///     mid-run, as soon as it has accepted its second `run_case`. The
+///     gates: the campaign still completes, at least one case was
+///     reassigned, the killed worker's lane recorded at least one
+///     failure (`chaos_victim_failures`), and the bytes still match
+///     the oracle.
 ///
-/// Every distributed pass also exercises the fleet-telemetry path:
-/// each in-process worker carries its own TraceSession/MetricsRegistry
-/// (exactly what a real daemon exposes via `trace_export` /
-/// `metrics_snapshot`), the coordinator pulls and merges them at
-/// campaign end, and the merged Chrome trace / metrics rollup land
-/// next to the report (BENCH_dist_fleet_trace.json and friends). The
-/// per-stage remote-time split parsed from traced replies
+/// The widest scaling pass and the chaos pass also exercise the
+/// fleet-telemetry path: each in-process worker carries its own
+/// TraceSession/MetricsRegistry (exactly what a real daemon exposes
+/// via `trace_export` / `metrics_snapshot`); after the campaign
+/// returns, `dist::collect_fleet_telemetry` pulls and merges them,
+/// and the merged Chrome trace / metrics rollup land next to the
+/// report (BENCH_dist_fleet_trace.json and friends). The per-stage
+/// remote-time split parsed from traced replies
 /// (queue/decode/eval/encode) goes into the report headlines.
 ///
 /// Usage:
@@ -38,6 +43,8 @@
 ///
 /// The run report is BENCH_dist_scaling.json.
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -53,9 +60,11 @@
 #include "core/campaign_journal.hpp"
 #include "core/campaign_spec.hpp"
 #include "dist/coordinator.hpp"
+#include "dist/fleet_telemetry.hpp"
 #include "dnn/model_zoo.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/net_fault_injector.hpp"
+#include "obs/fleet.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/server.hpp"
@@ -196,6 +205,38 @@ struct WorkerTelemetryKit {
         std::make_unique<obs::TraceSession>();
 };
 
+/// Accounting of one fleet telemetry pull.
+struct FleetPull {
+    std::size_t collected = 0;  ///< workers pulled
+    std::uint64_t spans = 0;    ///< spans in the merged trace
+    std::uint64_t clamped = 0;  ///< spans clamped to zero duration
+    double pull_s = 0.0;        ///< wall of the pull, merge and writes
+};
+
+/// Pulls \p workers' telemetry after a campaign has returned and
+/// writes the merged trace and rollup. The bench's own trace session,
+/// when attached (CHRYSALIS_BENCH_TRACE_OUT), joins as "coordinator".
+FleetPull
+pull_fleet(const std::vector<dist::WorkerAddress>& workers,
+           const std::string& trace_path,
+           const std::string& metrics_path)
+{
+    obs::SpanTimer timer("bench/dist_fleet_pull");
+    obs::FleetCollector collector;
+    if (obs::TraceSession* session = obs::trace()) {
+        collector.add_worker(obs::local_telemetry(
+            "coordinator", *session, obs::metrics()));
+    }
+    FleetPull pull;
+    pull.collected = dist::collect_fleet_telemetry(
+        workers, dist::FleetPullOptions{}, collector);
+    pull.spans = collector.aligned(&pull.clamped).size();
+    collector.write_chrome_trace_file(trace_path);
+    collector.write_metrics_rollup_file(metrics_path);
+    pull.pull_s = timer.elapsed_s();
+    return pull;
+}
+
 /// Report headlines for the remote per-stage time split parsed from
 /// traced replies (seconds per completed case, averaged).
 void
@@ -285,10 +326,7 @@ main(int argc, char** argv)
         kWorkerCounts[sizeof kWorkerCounts / sizeof kWorkerCounts[0] -
                       1];
     dist::StageTotals widest_totals;
-    std::uint64_t fleet_spans = 0;
-    std::uint64_t fleet_clamped = 0;
-    std::size_t fleet_collected = 0;
-    double fleet_pull_s = 0.0;
+    FleetPull fleet;
     for (const int worker_count : kWorkerCounts) {
         std::vector<std::unique_ptr<serve::Server>> servers;
         std::vector<WorkerTelemetryKit> kits(
@@ -313,30 +351,22 @@ main(int argc, char** argv)
         }
         dist_options.streams_per_worker = options.streams;
         dist_options.journal_path = dist_journal;
-        if (worker_count == widest_count) {
-            // The widest pass exercises the full merge and leaves the
-            // artifacts behind for inspection/CI validation.
-            dist_options.fleet_trace_path = options.fleet_trace_out;
-            dist_options.fleet_metrics_path =
-                options.fleet_metrics_out;
-        }
         std::remove(dist_journal.c_str());
 
         obs::SpanTimer timer("bench/dist_scaling");
         const dist::DistCampaignResult result =
             dist::run_distributed_campaign(spec, dist_options);
-        // The campaign wall leaves out the widest pass's telemetry
-        // pull, which is reported on its own as fleet_pull_s.
-        const double wall_s = timer.elapsed_s() - result.fleet_pull_s;
+        const double wall_s = timer.elapsed_s();
+        if (worker_count == widest_count) {
+            // The widest pass exercises the full merge and leaves the
+            // artifacts behind for inspection/CI validation.
+            widest_totals = result.stage_totals;
+            fleet = pull_fleet(dist_options.workers,
+                               options.fleet_trace_out,
+                               options.fleet_metrics_out);
+        }
         for (auto& server : servers)
             server->stop();
-        if (worker_count == widest_count) {
-            widest_totals = result.stage_totals;
-            fleet_spans = result.fleet_spans;
-            fleet_clamped = result.fleet_clamped_spans;
-            fleet_collected = result.fleet_workers_collected;
-            fleet_pull_s = result.fleet_pull_s;
-        }
 
         const bool csv_identical =
             campaign_csv(result.campaign) == reference_csv;
@@ -373,23 +403,22 @@ main(int argc, char** argv)
     bench::headline("speedup_4w", speedup);
     std::printf("fleet (4w): %zu workers pulled in %.3f s, %llu spans "
                 "merged (%llu clamped) -> %s\n",
-                fleet_collected, fleet_pull_s,
-                static_cast<unsigned long long>(fleet_spans),
-                static_cast<unsigned long long>(fleet_clamped),
+                fleet.collected, fleet.pull_s,
+                static_cast<unsigned long long>(fleet.spans),
+                static_cast<unsigned long long>(fleet.clamped),
                 options.fleet_trace_out.c_str());
-    bench::headline("fleet_pull_s", fleet_pull_s);
+    bench::headline("fleet_pull_s", fleet.pull_s);
     bench::headline("fleet_workers_collected",
-                    static_cast<double>(fleet_collected));
-    bench::headline("fleet_spans", static_cast<double>(fleet_spans));
+                    static_cast<double>(fleet.collected));
+    bench::headline("fleet_spans", static_cast<double>(fleet.spans));
     bench::headline("fleet_clamped_spans",
-                    static_cast<double>(fleet_clamped));
+                    static_cast<double>(fleet.clamped));
     stage_headlines("", widest_totals);
 
     // Chaos pass: dead worker + chaos-hooked worker + a healthy worker
     // killed mid-run. The fleet must still produce the oracle's bytes,
     // with at least one reassignment along the way.
     bool chaos_ok = true;
-    std::uint64_t chaos_reassigned = 0;
     if (options.chaos) {
         const std::uint64_t chaos_seed = options.chaos_seed != 0
                                              ? options.chaos_seed
@@ -436,25 +465,32 @@ main(int argc, char** argv)
         // eats transients by design and must not die with the victim.
         dist_options.max_worker_failures = 4;
         dist_options.journal_path = dist_journal;
-        // The chaos fleet writes its own merged artifacts: the gate is
-        // that the merge survives a dead worker and a killed worker —
-        // best-effort telemetry, never a campaign failure.
-        dist_options.fleet_trace_path =
-            "BENCH_dist_chaos_fleet_trace.json";
-        dist_options.fleet_metrics_path =
-            "BENCH_dist_chaos_fleet_metrics.json";
         std::remove(dist_journal.c_str());
 
-        std::thread killer([&victim] {
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(1.0));
+        // Kill the victim as soon as it has accepted its second case,
+        // so most of the queue remains and its lane must fail over. A
+        // timer would race the campaign, which can finish first.
+        std::atomic<bool> campaign_done{false};
+        std::thread killer([&victim, &campaign_done] {
+            while (!campaign_done.load() &&
+                   victim.stats().requests_run_case < 2)
+                std::this_thread::sleep_for(
+                    std::chrono::microseconds(100));
             victim.stop();
         });
         obs::SpanTimer timer("bench/dist_chaos");
         const dist::DistCampaignResult result =
             dist::run_distributed_campaign(spec, dist_options);
         const double wall_s = timer.elapsed_s();
+        campaign_done.store(true);
         killer.join();
+        // The chaos fleet writes its own merged artifacts: the merge
+        // must survive a dead worker and a killed worker — best-effort
+        // telemetry, never a campaign failure.
+        const FleetPull chaos_fleet =
+            pull_fleet(dist_options.workers,
+                       "BENCH_dist_chaos_fleet_trace.json",
+                       "BENCH_dist_chaos_fleet_metrics.json");
         survivor.stop();
 
         const bool csv_identical =
@@ -462,25 +498,31 @@ main(int argc, char** argv)
         const bool journal_identical =
             read_file(dist_journal) == reference_journal_bytes;
         std::remove(dist_journal.c_str());
-        chaos_reassigned = result.reassigned;
+        const std::uint64_t chaos_reassigned = result.reassigned;
+        // workers[0] is the victim: its lane must have failed at least
+        // once, or the kill landed after its last case.
+        const std::uint64_t victim_failures = result.workers[0].failures;
         std::size_t dead_workers = 0;
         for (const dist::WorkerReport& report : result.workers) {
             if (report.dead)
                 ++dead_workers;
         }
         chaos_ok = csv_identical && journal_identical &&
-                   chaos_reassigned >= 1;
+                   chaos_reassigned >= 1 && victim_failures >= 1;
 
-        std::printf("chaos: %.3f s, reassigned %llu, dead workers %zu, "
-                    "csv %s, journal %s\n",
+        std::printf("chaos: %.3f s, reassigned %llu, victim failures "
+                    "%llu, dead workers %zu, csv %s, journal %s\n",
                     wall_s,
                     static_cast<unsigned long long>(chaos_reassigned),
+                    static_cast<unsigned long long>(victim_failures),
                     dead_workers,
                     csv_identical ? "identical" : "MISMATCH",
                     journal_identical ? "identical" : "MISMATCH");
         bench::headline("chaos_wall_s", wall_s);
         bench::headline("chaos_reassigned",
                         static_cast<double>(chaos_reassigned));
+        bench::headline("chaos_victim_failures",
+                        static_cast<double>(victim_failures));
         bench::headline("chaos_workers_dead",
                         static_cast<double>(dead_workers));
         bench::headline("chaos_csv_identical",
@@ -488,12 +530,11 @@ main(int argc, char** argv)
         bench::headline("chaos_journal_identical",
                         journal_identical ? 1.0 : 0.0);
         bench::headline("chaos_fleet_workers_collected",
-                        static_cast<double>(
-                            result.fleet_workers_collected));
+                        static_cast<double>(chaos_fleet.collected));
         bench::headline("chaos_fleet_spans",
-                        static_cast<double>(result.fleet_spans));
+                        static_cast<double>(chaos_fleet.spans));
         bench::headline("chaos_fleet_clamped_spans",
-                        static_cast<double>(result.fleet_clamped_spans));
+                        static_cast<double>(chaos_fleet.clamped));
         stage_headlines("chaos_", result.stage_totals);
     }
     bench::headline("chaos_enabled", options.chaos ? 1.0 : 0.0);

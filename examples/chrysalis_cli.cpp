@@ -59,9 +59,11 @@
 #include "core/campaign_spec.hpp"
 #include "core/chrysalis.hpp"
 #include "dist/coordinator.hpp"
+#include "dist/fleet_telemetry.hpp"
 #include "dnn/model_io.hpp"
 #include "dnn/model_zoo.hpp"
 #include "fault/fault_injector.hpp"
+#include "obs/fleet.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/daemon.hpp"
@@ -526,8 +528,6 @@ run_campaign_cli(int argc, char** argv, int first)
         dist_options.workers = dist::parse_worker_list(workers);
         dist_options.streams_per_worker = streams;
         dist_options.journal_path = journal;
-        dist_options.fleet_trace_path = fleet_trace_out;
-        dist_options.fleet_metrics_path = fleet_metrics_out;
         if (request_timeout_s >= 0.0)
             dist_options.client.request_timeout_s = request_timeout_s;
         const dist::DistCampaignResult dist_result =
@@ -548,15 +548,28 @@ run_campaign_cli(int argc, char** argv, int first)
                      dist_result.restored, dist_result.workers_ready,
                      dist_result.workers.size());
         if (!fleet_trace_out.empty() || !fleet_metrics_out.empty()) {
-            std::fprintf(
-                stderr,
-                "# fleet: %zu/%zu workers pulled, %llu spans merged "
-                "(%llu clamped)\n",
-                dist_result.fleet_workers_collected,
-                dist_result.workers.size(),
-                static_cast<unsigned long long>(dist_result.fleet_spans),
-                static_cast<unsigned long long>(
-                    dist_result.fleet_clamped_spans));
+            // Telemetry only, strictly after the CSV and journal bytes
+            // are final: the coordinator's own session joins first,
+            // then every worker that still answers.
+            obs::FleetCollector collector;
+            if (obs::TraceSession* session = obs::trace()) {
+                collector.add_worker(obs::local_telemetry(
+                    "coordinator", *session, obs::metrics()));
+            }
+            const std::size_t pulled = dist::collect_fleet_telemetry(
+                dist_options.workers, dist::FleetPullOptions{},
+                collector);
+            std::uint64_t clamped = 0;
+            const std::size_t spans = collector.aligned(&clamped).size();
+            if (!fleet_trace_out.empty())
+                collector.write_chrome_trace_file(fleet_trace_out);
+            if (!fleet_metrics_out.empty())
+                collector.write_metrics_rollup_file(fleet_metrics_out);
+            std::fprintf(stderr,
+                         "# fleet: %zu/%zu workers pulled, %zu spans "
+                         "merged (%llu clamped)\n",
+                         pulled, dist_options.workers.size(), spans,
+                         static_cast<unsigned long long>(clamped));
         }
     }
 

@@ -177,54 +177,46 @@ from_journal_record(const JournalRecord& record)
     return entry;
 }
 
-std::string
-to_json_line(const JournalRecord& record)
+void
+append_record_fields(std::string& body, const JournalRecord& record)
 {
-    std::string out = "{";
-    json_append_field(out, "key", record.key);
-    json_append_field(out, "label", record.label);
-    json_append_field(out, "objective", record.objective_label);
-    json_append_raw_field(out, "feasible", record.feasible ? "1" : "0");
-    json_append_raw_field(out, "family", std::to_string(record.family));
-    json_append_raw_field(out, "solar_cm2", format_double_17g(record.solar_cm2));
-    json_append_raw_field(out, "capacitance_f",
+    json_append_field(body, "label", record.label);
+    json_append_field(body, "objective", record.objective_label);
+    json_append_raw_field(body, "feasible", record.feasible ? "1" : "0");
+    json_append_raw_field(body, "family", std::to_string(record.family));
+    json_append_raw_field(body, "solar_cm2",
+                          format_double_17g(record.solar_cm2));
+    json_append_raw_field(body, "capacitance_f",
                           format_double_17g(record.capacitance_f));
-    json_append_raw_field(out, "arch", std::to_string(record.arch));
-    json_append_raw_field(out, "n_pe", std::to_string(record.n_pe));
-    json_append_raw_field(out, "cache_bytes",
+    json_append_raw_field(body, "arch", std::to_string(record.arch));
+    json_append_raw_field(body, "n_pe", std::to_string(record.n_pe));
+    json_append_raw_field(body, "cache_bytes",
                           std::to_string(record.cache_bytes));
-    json_append_raw_field(out, "mean_latency_s",
+    json_append_raw_field(body, "mean_latency_s",
                           format_double_17g(record.mean_latency_s));
-    json_append_raw_field(out, "lat_sp", format_double_17g(record.lat_sp));
-    json_append_raw_field(out, "score", format_double_17g(record.score));
-    json_append_raw_field(out, "evaluations",
+    json_append_raw_field(body, "lat_sp",
+                          format_double_17g(record.lat_sp));
+    json_append_raw_field(body, "score", format_double_17g(record.score));
+    json_append_raw_field(body, "evaluations",
                           std::to_string(record.evaluations));
-    json_append_raw_field(out, "cache_hits",
+    json_append_raw_field(body, "cache_hits",
                           std::to_string(record.cache_hits));
-    json_append_raw_field(out, "cache_misses",
+    json_append_raw_field(body, "cache_misses",
                           std::to_string(record.cache_misses));
-    json_append_raw_field(out, "cache_evictions",
+    json_append_raw_field(body, "cache_evictions",
                           std::to_string(record.cache_evictions));
-    json_append_raw_field(out, "search_wall_time_s",
-                          format_double_17g(record.search_wall_time_s));
-    json_append_raw_field(out, "wall_time_s",
-                          format_double_17g(record.wall_time_s));
-    json_append_field(out, "failure_code", record.failure_code);
-    json_append_field(out, "failure_detail", record.failure_detail);
-    json_append_raw_field(out, "attempts", std::to_string(record.attempts));
-    out += '}';
-    return out;
+    json_append_field(body, "failure_code", record.failure_code);
+    json_append_field(body, "failure_detail", record.failure_detail);
+    json_append_raw_field(body, "attempts",
+                          std::to_string(record.attempts));
 }
 
 bool
-parse_json_line(const std::string& line, JournalRecord& record)
+campaign_record_from_fields(const FlatJsonFields& fields,
+                            JournalRecord& record)
 {
-    FlatJsonFields fields;
-    if (!scan_flat_json(line, fields))
-        return false;
     std::int64_t feasible = 0;
     const bool ok =
-        json_get_string(fields, "key", record.key) &&
         json_get_string(fields, "label", record.label) &&
         json_get_string(fields, "objective", record.objective_label) &&
         json_get_int64(fields, "feasible", feasible) &&
@@ -242,14 +234,40 @@ parse_json_line(const std::string& line, JournalRecord& record)
         json_get_uint64(fields, "cache_misses", record.cache_misses) &&
         json_get_uint64(fields, "cache_evictions",
                         record.cache_evictions) &&
-        json_get_double(fields, "search_wall_time_s",
-                        record.search_wall_time_s) &&
-        json_get_double(fields, "wall_time_s", record.wall_time_s) &&
         json_get_string(fields, "failure_code", record.failure_code) &&
         json_get_string(fields, "failure_detail", record.failure_detail) &&
         json_get_int(fields, "attempts", record.attempts);
+    record.key.clear();
     record.feasible = feasible != 0;
+    record.search_wall_time_s = 0.0;
+    record.wall_time_s = 0.0;
     return ok;
+}
+
+std::string
+to_json_line(const JournalRecord& record)
+{
+    std::string out = "{";
+    json_append_field(out, "key", record.key);
+    json_append_raw_field(out, "search_wall_time_s",
+                          format_double_17g(record.search_wall_time_s));
+    json_append_raw_field(out, "wall_time_s",
+                          format_double_17g(record.wall_time_s));
+    append_record_fields(out, record);
+    out += '}';
+    return out;
+}
+
+bool
+parse_json_line(const std::string& line, JournalRecord& record)
+{
+    FlatJsonFields fields;
+    return scan_flat_json(line, fields) &&
+           campaign_record_from_fields(fields, record) &&
+           json_get_string(fields, "key", record.key) &&
+           json_get_double(fields, "search_wall_time_s",
+                           record.search_wall_time_s) &&
+           json_get_double(fields, "wall_time_s", record.wall_time_s);
 }
 
 std::unordered_map<std::string, JournalRecord>

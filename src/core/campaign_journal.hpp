@@ -17,6 +17,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "common/flat_json.hpp"
 #include "core/campaign.hpp"
 
 namespace chrysalis::core {
@@ -74,11 +75,26 @@ JournalRecord deterministic_record(JournalRecord record);
 /// Reconstructs a (summary-only) entry from a journal record.
 CampaignEntry from_journal_record(const JournalRecord& record);
 
-/// Serializes a record as one flat JSON line (no trailing newline).
+/// Appends a record's result fields (label, objective, hardware,
+/// metrics, failure, attempts — everything except `key` and the
+/// volatile wall times) to a flat-JSON object under construction: a
+/// `run_case` reply body or a journal line. Inverse of
+/// campaign_record_from_fields().
+void append_record_fields(std::string& body, const JournalRecord& record);
+
+/// Parses the fields appended by append_record_fields() back into a
+/// record (key left empty, wall times zero). Returns false when any
+/// field is missing or malformed.
+bool campaign_record_from_fields(const FlatJsonFields& fields,
+                                 JournalRecord& record);
+
+/// Serializes a record as one flat JSON line (no trailing newline):
+/// `key`, the two wall times, then the append_record_fields() set.
 std::string to_json_line(const JournalRecord& record);
 
 /// Parses a journal line; returns false (leaving \p record unspecified)
-/// on torn or malformed input.
+/// on torn or malformed input. Field order does not matter, so lines
+/// written in any earlier field order still load.
 bool parse_json_line(const std::string& line, JournalRecord& record);
 
 /// Loads a journal file into a key -> record map. Malformed lines are

@@ -93,18 +93,6 @@ FlatJsonFields case_request_fields(const CampaignSpec& spec,
 /// layer converts that into a `bad_request` reply).
 CampaignSpec spec_from_fields(const FlatJsonFields& fields);
 
-/// Appends a journal record's result fields (label, objective,
-/// hardware, metrics, failure, attempts — everything except `key` and
-/// the volatile wall times) to a response body under construction.
-/// Inverse of campaign_record_from_fields().
-void append_record_fields(std::string& body, const JournalRecord& record);
-
-/// Parses the fields appended by append_record_fields() back into a
-/// record (key left empty, wall times zero). Returns false when any
-/// field is missing or malformed.
-bool campaign_record_from_fields(const FlatJsonFields& fields,
-                                 JournalRecord& record);
-
 }  // namespace chrysalis::core
 
 #endif  // CHRYSALIS_CORE_CAMPAIGN_SPEC_HPP

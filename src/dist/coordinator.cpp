@@ -15,9 +15,7 @@
 #include "common/stable_hash.hpp"
 #include "common/thread_annotations.hpp"
 #include "core/campaign_journal.hpp"
-#include "dist/fleet_telemetry.hpp"
 #include "dnn/model_zoo.hpp"
-#include "obs/fleet.hpp"
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
@@ -94,11 +92,6 @@ struct Shared {
     /// Worst consecutive-failure streak currently held by any of the
     /// worker's lanes — the heartbeat's "f" figure.
     std::vector<int> worker_streaks CHRYSALIS_GUARDED_BY(mutex);
-    /// Telemetry stashed by a dying worker's last lane (best-effort
-    /// pull at death time, before the daemon can vanish); consulted at
-    /// campaign end when the live pull fails.
-    std::vector<obs::WorkerTelemetry> stash CHRYSALIS_GUARDED_BY(mutex);
-    std::vector<char> stashed CHRYSALIS_GUARDED_BY(mutex);
 };
 
 /// One line of per-worker lane state for the progress heartbeat:
@@ -264,7 +257,6 @@ lane_loop(const core::CampaignSpec& spec,
         }
 
         bool lane_dead = false;
-        bool worker_dead = false;
         std::string heartbeat_detail;
         {
             MutexLock lock(shared.mutex);
@@ -314,10 +306,8 @@ lane_loop(const core::CampaignSpec& spec,
                 if (consecutive_failures >=
                     options.max_worker_failures) {
                     lane_dead = true;
-                    if (--shared.live_lanes[worker_index] == 0) {
+                    if (--shared.live_lanes[worker_index] == 0)
                         report.dead = true;
-                        worker_dead = true;
-                    }
                 }
                 set_queue_gauge(shared.queue.size());
                 break;
@@ -358,24 +348,6 @@ lane_loop(const core::CampaignSpec& spec,
             warn("dist: worker ", report.address.to_string(),
                  " dropped after ", options.max_worker_failures,
                  " consecutive failures (last: ", error, ")");
-            if (worker_dead && (!options.fleet_trace_path.empty() ||
-                                !options.fleet_metrics_path.empty())) {
-                // Best-effort salvage: a worker declared dead may be
-                // merely degraded and about to exit — grab whatever
-                // telemetry it still answers with now, so the
-                // campaign-end merge is not left empty-handed if it is
-                // gone by then.
-                FleetPullOptions pull_options;
-                pull_options.client = options.client;
-                pull_options.client.request_timeout_s = 5.0;
-                obs::WorkerTelemetry telemetry;
-                if (pull_worker_telemetry(report.address, pull_options,
-                                          telemetry)) {
-                    MutexLock lock(shared.mutex);
-                    shared.stash[worker_index] = std::move(telemetry);
-                    shared.stashed[worker_index] = 1;
-                }
-            }
             return;
         }
         if (status == serve::CallStatus::kCircuitOpen) {
@@ -435,8 +407,6 @@ run_distributed_campaign(const core::CampaignSpec& spec,
             options.workers.size(),
             options.streams_per_worker);
         shared.worker_streaks.assign(options.workers.size(), 0);
-        shared.stash.resize(options.workers.size());
-        shared.stashed.assign(options.workers.size(), 0);
 
         // Resume: restore journaled cases, queue the rest in index
         // order.
@@ -462,20 +432,21 @@ run_distributed_campaign(const core::CampaignSpec& spec,
         have_work = !shared.queue.empty();
     }
 
-    // Informational readiness probe; dispatch never gates on it.
-    WorkerPool pool(options.workers, options.client);
-    pool.probe();
     DistCampaignResult result;
     result.cases = count;
     result.restored = restored_count;
-    result.workers_ready = pool.ready_count();
-    result.workers.reserve(pool.statuses().size());
-    for (const WorkerStatus& status : pool.statuses()) {
-        WorkerReport report;
-        report.address = status.address;
-        report.worker_id = status.worker_id;
-        report.ready_at_start = status.ready;
-        result.workers.push_back(std::move(report));
+    {
+        // Informational readiness probe; dispatch never gates on it.
+        OBS_SPAN("dist/probe");
+        for (const WorkerStatus& status :
+             probe_workers(options.workers, options.client)) {
+            WorkerReport& report = result.workers.emplace_back();
+            report.address = status.address;
+            report.worker_id = status.worker_id;
+            report.ready_at_start = status.ready;
+            if (status.ready)
+                ++result.workers_ready;
+        }
     }
 
     bump_counter("dist/cases_total", obs::Stability::kStable, count);
@@ -566,6 +537,7 @@ run_distributed_campaign(const core::CampaignSpec& spec,
     // foreign/stale keys dropped. Atomic via rename so a kill leaves
     // either the old append-order journal or the new canonical one.
     if (journaled) {
+        OBS_SPAN("dist/journal_rewrite");
         const std::string tmp_path = options.journal_path + ".tmp";
         {
             std::ofstream output(tmp_path, std::ios::trunc);
@@ -582,61 +554,6 @@ run_distributed_campaign(const core::CampaignSpec& spec,
             fatal("dist: cannot rename '", tmp_path, "' over '",
                   options.journal_path, "'");
         }
-    }
-
-    // Fleet telemetry merge: pull every worker's buffers, fold in the
-    // coordinator's own session, align onto one timeline, write the
-    // merged artifacts. Strictly after the deterministic outputs —
-    // telemetry failures must never affect the campaign result.
-    if (!options.fleet_trace_path.empty() ||
-        !options.fleet_metrics_path.empty()) {
-        obs::SpanTimer pull_timer("dist/fleet_pull");
-        obs::FleetCollector collector;
-        if (obs::TraceSession* session = obs::trace()) {
-            // The coordinator's own spans need no probe: the exact
-            // session->monotonic skew is the whole offset (the
-            // reference timeline IS this process's monotonic clock).
-            obs::WorkerTelemetry self;
-            self.worker_id = "coordinator";
-            self.clock_offset_s = session->epoch_to_monotonic_skew_s();
-            self.events = session->merged();
-            self.dropped_events = session->dropped();
-            if (obs::MetricsRegistry* registry = obs::metrics())
-                self.metrics = registry->samples();
-            collector.add_worker(std::move(self));
-        }
-        FleetPullOptions pull_options;
-        pull_options.client = options.client;
-        pull_options.client.request_timeout_s = 30.0;
-        for (std::size_t w = 0; w < options.workers.size(); ++w) {
-            obs::WorkerTelemetry telemetry;
-            if (pull_worker_telemetry(options.workers[w], pull_options,
-                                      telemetry)) {
-                collector.add_worker(std::move(telemetry));
-                ++result.fleet_workers_collected;
-            } else if (shared.stashed[w] != 0) {
-                // The live pull failed (worker died mid-run); merge
-                // the telemetry salvaged when its last lane gave up.
-                collector.add_worker(std::move(shared.stash[w]));
-                ++result.fleet_workers_collected;
-                warn("dist: worker ",
-                     options.workers[w].to_string(),
-                     " unreachable at campaign end; merged telemetry "
-                     "stashed at death time");
-            } else {
-                warn("dist: worker ", options.workers[w].to_string(),
-                     " contributed no telemetry to the fleet merge");
-            }
-        }
-        std::uint64_t clamped = 0;
-        result.fleet_spans = collector.aligned(&clamped).size();
-        result.fleet_clamped_spans = clamped;
-        if (!options.fleet_trace_path.empty())
-            collector.write_chrome_trace_file(options.fleet_trace_path);
-        if (!options.fleet_metrics_path.empty())
-            collector.write_metrics_rollup_file(
-                options.fleet_metrics_path);
-        result.fleet_pull_s = pull_timer.elapsed_s();
     }
 
     progress.finish();

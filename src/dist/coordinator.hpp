@@ -33,6 +33,12 @@
 /// journal is rewritten atomically in canonical case order so its bytes
 /// match an uninterrupted single-process run with
 /// `deterministic_journal` enabled.
+///
+/// Telemetry: the run is traced as `dist/run` with `dist/probe`,
+/// per-case `dist/case` and `dist/journal_rewrite` children. Pulling
+/// the fleet's own traces and metrics is a separate call made after
+/// the campaign returns: `collect_fleet_telemetry`
+/// (dist/fleet_telemetry.hpp).
 
 #ifndef CHRYSALIS_DIST_COORDINATOR_HPP
 #define CHRYSALIS_DIST_COORDINATOR_HPP
@@ -74,14 +80,6 @@ struct DistCampaignOptions {
     std::string journal_path;
     /// Progress-heartbeat pacing, as in core::CampaignOptions.
     double progress_interval_s = 5.0;
-    /// When non-empty: after the campaign, pull every worker's trace
-    /// buffer (`trace_export`) and write one clock-aligned merged
-    /// Chrome trace here (obs::FleetCollector; the coordinator's own
-    /// session, when attached, appears as the "coordinator" process).
-    std::string fleet_trace_path;
-    /// When non-empty: pull every worker's metrics (`metrics_snapshot`)
-    /// and write the `fleet/<worker_id>/...` rollup here.
-    std::string fleet_metrics_path;
 
     void validate() const;
 };
@@ -120,15 +118,6 @@ struct DistCampaignResult {
     std::size_t workers_ready = 0;  ///< pre-run probe successes
     std::vector<WorkerReport> workers;
     StageTotals stage_totals;       ///< remote stage-time breakdown
-    /// Fleet telemetry merge accounting (zero unless a fleet_*_path
-    /// was set): workers successfully pulled, spans in the merged
-    /// trace, spans whose aligned duration had to be clamped to 0, and
-    /// the wall time of the pull, merge and writes [s], which
-    /// campaign.wall_time_s includes.
-    std::size_t fleet_workers_collected = 0;
-    std::uint64_t fleet_spans = 0;
-    std::uint64_t fleet_clamped_spans = 0;
-    double fleet_pull_s = 0.0;
 };
 
 /// Runs \p spec across the fleet. fatal() when the spec names a model

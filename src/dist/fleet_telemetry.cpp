@@ -125,14 +125,14 @@ drain_trace(serve::Client& client, const FleetPullOptions& options,
     return true;
 }
 
-}  // namespace
-
+/// One worker's pull (see collect_fleet_telemetry). Returns false —
+/// leaving \p out cleared — when the worker is unreachable or a page
+/// is malformed.
 bool
 pull_worker_telemetry(const WorkerAddress& address,
                       const FleetPullOptions& options,
                       obs::WorkerTelemetry& out)
 {
-    options.validate();
     out = obs::WorkerTelemetry();
     out.worker_id = address.to_string();  // until the worker says better
 
@@ -165,11 +165,15 @@ pull_worker_telemetry(const WorkerAddress& address,
     return true;
 }
 
+}  // namespace
+
 std::size_t
 collect_fleet_telemetry(const std::vector<WorkerAddress>& workers,
                         const FleetPullOptions& options,
                         obs::FleetCollector& collector)
 {
+    OBS_SPAN("dist/fleet_pull");
+    options.validate();
     std::size_t pulled = 0;
     for (const WorkerAddress& address : workers) {
         obs::WorkerTelemetry telemetry;

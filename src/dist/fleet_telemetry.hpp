@@ -40,22 +40,17 @@ struct FleetPullOptions {
     void validate() const;
 };
 
-/// Pulls one worker's telemetry: a `health` round trip for the clock
-/// offset (obs::clock_offset_from_probe), then cursor loops draining
-/// `metrics_snapshot` and `trace_export`. On success \p out holds the
-/// worker's id, its events on their session timeline, its metric
-/// samples, and the total clock_offset_s (exact session->monotonic
-/// skew plus the probe-estimated monotonic offset) that
-/// FleetCollector needs. Returns false — leaving \p out cleared — when
-/// the worker is unreachable or a page is malformed.
-bool pull_worker_telemetry(const WorkerAddress& address,
-                           const FleetPullOptions& options,
-                           obs::WorkerTelemetry& out);
-
-/// pull_worker_telemetry for every address, adding each success to
-/// \p collector. Unreachable workers are skipped (a fleet merge at
-/// campaign end must tolerate workers that died mid-run). Returns the
-/// number of workers pulled.
+/// Pulls every worker's telemetry into \p collector: per worker, a
+/// `health` round trip for the clock offset
+/// (obs::clock_offset_from_probe), then cursor loops draining
+/// `metrics_snapshot` and `trace_export`. Each pulled worker carries
+/// its id, its events on their session timeline, its metric samples,
+/// and the total clock_offset_s (exact session->monotonic skew plus the
+/// probe-estimated monotonic offset) that FleetCollector needs.
+/// Unreachable workers, and workers whose pages are malformed, are
+/// skipped with a warning (a fleet merge at campaign end must tolerate
+/// workers that died mid-run). Returns the number of workers pulled.
+/// The whole pull runs under a `dist/fleet_pull` span.
 std::size_t collect_fleet_telemetry(
     const std::vector<WorkerAddress>& workers,
     const FleetPullOptions& options, obs::FleetCollector& collector);

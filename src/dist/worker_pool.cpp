@@ -2,11 +2,8 @@
 
 #include <cerrno>
 #include <cstdlib>
-#include <utility>
 
 #include "common/logging.hpp"
-#include "obs/fleet.hpp"
-#include "obs/trace.hpp"
 
 namespace chrysalis::dist {
 
@@ -61,74 +58,32 @@ parse_worker_list(const std::string& list)
     return workers;
 }
 
-WorkerPool::WorkerPool(std::vector<WorkerAddress> workers,
-                       serve::ClientOptions client_options)
-    : client_options_(std::move(client_options))
+std::vector<WorkerStatus>
+probe_workers(const std::vector<WorkerAddress>& workers,
+              serve::ClientOptions client_options)
 {
-    client_options_.max_attempts = 1;  // a probe is one question
-    statuses_.reserve(workers.size());
-    for (WorkerAddress& address : workers) {
-        WorkerStatus status;
-        status.address = std::move(address);
-        statuses_.push_back(std::move(status));
-    }
-}
-
-const std::vector<WorkerStatus>&
-WorkerPool::probe()
-{
-    for (WorkerStatus& status : statuses_) {
-        status.worker_id.clear();
-        status.reachable = false;
-        status.ready = false;
-        status.draining = false;
-        status.pending = 0;
-        status.rtt_s = 0.0;
-        status.mono_now_s = 0.0;
-        status.clock_offset_s = 0.0;
-        status.has_clock_offset = false;
-
-        serve::Client client(client_options_);
-        if (!client.connect(status.address.host, status.address.port))
+    client_options.max_attempts = 1;  // a probe is one question
+    std::vector<WorkerStatus> statuses;
+    statuses.reserve(workers.size());
+    for (const WorkerAddress& address : workers) {
+        WorkerStatus& status = statuses.emplace_back();
+        status.address = address;
+        serve::Client client(client_options);
+        if (!client.connect(address.host, address.port))
             continue;
         serve::Response response;
-        // Bracket the request with local clock reads: the reply's
-        // mono_now_s was read somewhere inside [send, recv], and the
-        // RTT midpoint is the minimum-error estimate of when.
-        const double send_s = obs::monotonic_seconds();
         if (client.request("health", {}, response) !=
                 serve::CallStatus::kOk ||
             !response.ok) {
             continue;
         }
-        const double recv_s = obs::monotonic_seconds();
         status.reachable = true;
         json_get_string(response.fields, "worker_id", status.worker_id);
         std::string state;
         json_get_string(response.fields, "status", state);
-        status.draining = state == "draining";
-        status.ready = !status.draining;
-        json_get_int64(response.fields, "pending", status.pending);
-        status.rtt_s = recv_s - send_s;
-        if (json_get_double(response.fields, "mono_now_s",
-                            status.mono_now_s)) {
-            status.clock_offset_s = obs::clock_offset_from_probe(
-                send_s, recv_s, status.mono_now_s);
-            status.has_clock_offset = true;
-        }
+        status.ready = state != "draining";
     }
-    return statuses_;
-}
-
-std::size_t
-WorkerPool::ready_count() const
-{
-    std::size_t ready = 0;
-    for (const WorkerStatus& status : statuses_) {
-        if (status.ready)
-            ++ready;
-    }
-    return ready;
+    return statuses;
 }
 
 }  // namespace chrysalis::dist

@@ -18,8 +18,6 @@
 #ifndef CHRYSALIS_DIST_WORKER_POOL_HPP
 #define CHRYSALIS_DIST_WORKER_POOL_HPP
 
-#include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -41,52 +39,21 @@ struct WorkerAddress {
 /// port outside [1, 65535].
 std::vector<WorkerAddress> parse_worker_list(const std::string& list);
 
-/// Snapshot of one worker's last `health` probe.
+/// Outcome of one worker's `health` probe.
 struct WorkerStatus {
     WorkerAddress address;
     std::string worker_id;  ///< daemon-reported identity; "" unreachable
     bool reachable = false; ///< the probe got a well-formed reply
     bool ready = false;     ///< reachable and not draining
-    bool draining = false;
-    std::int64_t pending = 0;  ///< daemon-reported queued requests
-    /// Clock-alignment observations (obs::FleetCollector inputs):
-    /// round-trip time of the probe, the worker's monotonic_seconds()
-    /// at the reply (`mono_now_s` of the `health` body), and the
-    /// RTT-midpoint estimate of the worker-to-coordinator monotonic
-    /// offset — `coordinator_time ~= worker_time + clock_offset_s`,
-    /// accurate to about half the RTT. Valid only when
-    /// has_clock_offset (an old daemon's health reply may lack
-    /// mono_now_s).
-    double rtt_s = 0.0;
-    double mono_now_s = 0.0;
-    double clock_offset_s = 0.0;
-    bool has_clock_offset = false;
 };
 
-/// The fleet: addresses plus their latest probe snapshots.
-class WorkerPool
-{
-  public:
-    /// \p client_options shapes the probe connections (timeouts); the
-    /// probe itself always makes a single attempt per worker (`health`
-    /// is not memoized, so the resilient client would not retry it
-    /// anyway).
-    WorkerPool(std::vector<WorkerAddress> workers,
-               serve::ClientOptions client_options);
-
-    /// Probes every worker once, sequentially, and returns the updated
-    /// snapshots. Unreachable workers are recorded, not fatal.
-    const std::vector<WorkerStatus>& probe();
-
-    const std::vector<WorkerStatus>& statuses() const { return statuses_; }
-
-    /// Workers whose last probe reported ready.
-    std::size_t ready_count() const;
-
-  private:
-    std::vector<WorkerStatus> statuses_;
-    serve::ClientOptions client_options_;
-};
+/// Probes every worker once, sequentially, with a single `health`
+/// attempt each (\p client_options shapes the connections' timeouts;
+/// `health` is not memoized, so the resilient client would not retry
+/// it anyway). Unreachable workers are recorded, not fatal.
+std::vector<WorkerStatus>
+probe_workers(const std::vector<WorkerAddress>& workers,
+              serve::ClientOptions client_options);
 
 }  // namespace chrysalis::dist
 

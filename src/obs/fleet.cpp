@@ -7,6 +7,7 @@
 #include <ostream>
 #include <sstream>
 #include <string_view>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "common/string_utils.hpp"
@@ -176,6 +177,20 @@ clock_offset_from_probe(double local_send_s, double local_recv_s,
                         double remote_mono_now_s)
 {
     return 0.5 * (local_send_s + local_recv_s) - remote_mono_now_s;
+}
+
+WorkerTelemetry
+local_telemetry(std::string worker_id, const TraceSession& session,
+                const MetricsRegistry* registry)
+{
+    WorkerTelemetry self;
+    self.worker_id = std::move(worker_id);
+    self.clock_offset_s = session.epoch_to_monotonic_skew_s();
+    self.events = session.merged();
+    self.dropped_events = session.dropped();
+    if (registry != nullptr)
+        self.metrics = registry->samples();
+    return self;
 }
 
 void

@@ -57,6 +57,15 @@ struct WorkerTelemetry {
 double clock_offset_from_probe(double local_send_s, double local_recv_s,
                                double remote_mono_now_s);
 
+/// This process's own telemetry as one fleet member — how a
+/// coordinator joins the merge it collects. No probe is needed: the
+/// collector's reference timeline is this process's monotonic clock,
+/// so the session's exact epoch skew is the whole offset. Metric
+/// samples come from \p registry when it is non-null.
+WorkerTelemetry local_telemetry(std::string worker_id,
+                                const TraceSession& session,
+                                const MetricsRegistry* registry);
+
 /// Merges worker telemetry into one aligned trace + metrics rollup.
 /// Not thread-safe; build on one thread after the campaign quiesces.
 class FleetCollector

@@ -850,6 +850,12 @@ Server::reset_connection(std::uint64_t connection_id)
 void
 Server::drain_and_close()
 {
+    // Refuse new connections at once. Left open, the listening socket
+    // would keep completing handshakes into its backlog, and a client
+    // dialling a stopped server would wait out its whole request
+    // deadline for a reply that never comes.
+    close_fd(listen_fd_);
+
     // Evaluate everything already admitted; new reads stopped with the
     // loop, so the queue only shrinks.
     while (!pending_.empty())

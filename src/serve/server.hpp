@@ -38,9 +38,10 @@
 /// and stall accepts — without touching the request/reply semantics, so
 /// a resilient client must still extract byte-identical replies.
 ///
-/// stop() drains: queued requests are evaluated, replies are flushed
-/// (bounded by `drain_timeout_s`), then sockets close. While draining,
-/// `health` replies report "draining".
+/// stop() drains: the listening socket closes first (new connections
+/// are refused), queued requests are evaluated, replies are flushed
+/// (bounded by `drain_timeout_s`), then the connections close. While
+/// draining, `health` replies report "draining".
 
 #ifndef CHRYSALIS_SERVE_SERVER_HPP
 #define CHRYSALIS_SERVE_SERVER_HPP

@@ -84,29 +84,50 @@ TEST(CampaignJournalTest, RecordRoundTripsThroughJson)
     record.failure_detail = "after 300000 s";
     record.attempts = 2;
 
-    JournalRecord parsed;
-    ASSERT_TRUE(parse_json_line(to_json_line(record), parsed));
-    EXPECT_EQ(parsed.key, record.key);
-    EXPECT_EQ(parsed.label, record.label);
-    EXPECT_EQ(parsed.objective_label, record.objective_label);
-    EXPECT_EQ(parsed.feasible, record.feasible);
-    EXPECT_EQ(parsed.family, record.family);
-    EXPECT_EQ(parsed.solar_cm2, record.solar_cm2);  // bit-exact
-    EXPECT_EQ(parsed.capacitance_f, record.capacitance_f);
-    EXPECT_EQ(parsed.arch, record.arch);
-    EXPECT_EQ(parsed.n_pe, record.n_pe);
-    EXPECT_EQ(parsed.cache_bytes, record.cache_bytes);
-    EXPECT_EQ(parsed.mean_latency_s, record.mean_latency_s);
-    EXPECT_EQ(parsed.lat_sp, record.lat_sp);
-    EXPECT_EQ(parsed.score, record.score);
-    EXPECT_EQ(parsed.evaluations, record.evaluations);
-    EXPECT_EQ(parsed.cache_hits, record.cache_hits);
-    EXPECT_EQ(parsed.cache_misses, record.cache_misses);
-    EXPECT_EQ(parsed.search_wall_time_s, record.search_wall_time_s);
-    EXPECT_EQ(parsed.wall_time_s, record.wall_time_s);
-    EXPECT_EQ(parsed.failure_code, record.failure_code);
-    EXPECT_EQ(parsed.failure_detail, record.failure_detail);
-    EXPECT_EQ(parsed.attempts, record.attempts);
+    // The current encoder's line, and the same record as journals
+    // spelled it before the journal line shared the run_case reply
+    // codec (wall times after the cache counters): old journals must
+    // still resume.
+    const std::string parent_order =
+        R"({"key":"00ff00ff00ff00ff00ff00ff00ff00ff",)"
+        R"("label":"tricky \"label\"\nwith,commas\\and\tescapes",)"
+        R"("objective":"lat*sp","feasible":1,"family":1,)"
+        R"("solar_cm2":0.33333333333333331,"capacitance_f":4.7e-300,)"
+        R"("arch":1,"n_pe":168,"cache_bytes":2048,)"
+        R"("mean_latency_s":0.12345678901234568,)"
+        R"("lat_sp":1.0000000000000001e+300,"score":-0,)"
+        R"("evaluations":1234567890123,"cache_hits":17,"cache_misses":19,)"
+        R"("cache_evictions":0,"search_wall_time_s":2.5,"wall_time_s":3.25,)"
+        R"("failure_code":"timeout","failure_detail":"after 300000 s",)"
+        R"("attempts":2})";
+    ASSERT_NE(parent_order, to_json_line(record));
+
+    for (const std::string& line : {to_json_line(record), parent_order}) {
+        SCOPED_TRACE(line);
+        JournalRecord parsed;
+        ASSERT_TRUE(parse_json_line(line, parsed));
+        EXPECT_EQ(parsed.key, record.key);
+        EXPECT_EQ(parsed.label, record.label);
+        EXPECT_EQ(parsed.objective_label, record.objective_label);
+        EXPECT_EQ(parsed.feasible, record.feasible);
+        EXPECT_EQ(parsed.family, record.family);
+        EXPECT_EQ(parsed.solar_cm2, record.solar_cm2);  // bit-exact
+        EXPECT_EQ(parsed.capacitance_f, record.capacitance_f);
+        EXPECT_EQ(parsed.arch, record.arch);
+        EXPECT_EQ(parsed.n_pe, record.n_pe);
+        EXPECT_EQ(parsed.cache_bytes, record.cache_bytes);
+        EXPECT_EQ(parsed.mean_latency_s, record.mean_latency_s);
+        EXPECT_EQ(parsed.lat_sp, record.lat_sp);
+        EXPECT_EQ(parsed.score, record.score);
+        EXPECT_EQ(parsed.evaluations, record.evaluations);
+        EXPECT_EQ(parsed.cache_hits, record.cache_hits);
+        EXPECT_EQ(parsed.cache_misses, record.cache_misses);
+        EXPECT_EQ(parsed.search_wall_time_s, record.search_wall_time_s);
+        EXPECT_EQ(parsed.wall_time_s, record.wall_time_s);
+        EXPECT_EQ(parsed.failure_code, record.failure_code);
+        EXPECT_EQ(parsed.failure_detail, record.failure_detail);
+        EXPECT_EQ(parsed.attempts, record.attempts);
+    }
 }
 
 TEST(CampaignJournalTest, TornAndMalformedLinesAreSkipped)

@@ -2,13 +2,18 @@
 // parsing, fleet probing, the headline byte-identity guarantee (CSV and
 // canonical journal identical to a sequential local run at 1, 2 and 4
 // workers), fault-tolerant reassignment around a dead worker and a
-// worker killed mid-campaign, and journal-based resume.
+// worker killed mid-campaign, journal-based resume, and the fleet
+// telemetry pull after a campaign.
 
 #include "dist/coordinator.hpp"
+#include "dist/fleet_telemetry.hpp"
 #include "dist/worker_pool.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -23,6 +28,9 @@
 #include "core/campaign_spec.hpp"
 #include "dnn/model_zoo.hpp"
 #include "fault/fault_injector.hpp"
+#include "obs/fleet.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "serve/server.hpp"
 
 namespace {
@@ -35,6 +43,22 @@ core::CampaignSpec small_spec()
     spec.cases = 6;
     spec.population = 4;
     spec.generations = 2;
+    spec.seed = 3;
+    return spec;
+}
+
+/// A spec whose cases take milliseconds each (ResNet-18 on the future
+/// space; KWS cases take a fraction of one), for tests whose point
+/// needs the campaign to outlast a lane's start-up or a killer
+/// thread's wake-up on a loaded machine.
+core::CampaignSpec slow_spec(int cases)
+{
+    core::CampaignSpec spec;
+    spec.model = "resnet18";
+    spec.space = "future";
+    spec.cases = cases;
+    spec.population = 8;
+    spec.generations = 4;
     spec.seed = 3;
     return spec;
 }
@@ -69,7 +93,12 @@ Reference local_reference(const core::CampaignSpec& spec)
     std::unique_ptr<fault::FaultInjector> faults;
     const search::ExplorerOptions base =
         core::build_explorer_options(spec, faults);
-    const std::string path = "dist_test_reference.jsonl";
+    // One file per test: ctest runs the tests of this binary as
+    // concurrent processes in one working directory.
+    const std::string path =
+        std::string("dist_test_reference_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".jsonl";
     std::remove(path.c_str());
     core::CampaignOptions options;
     options.threads = 1;
@@ -147,16 +176,19 @@ TEST(WorkerPool, ProbeSeparatesLiveAndDeadWorkers)
     auto servers = start_fleet(1, addresses);
     addresses.push_back({"127.0.0.1", dead_port()});
 
-    dist::WorkerPool pool(addresses, serve::ClientOptions{});
-    pool.probe();
-    const auto& statuses = pool.statuses();
+    const std::vector<dist::WorkerStatus> statuses =
+        dist::probe_workers(addresses, serve::ClientOptions{});
     ASSERT_EQ(statuses.size(), 2u);
     EXPECT_TRUE(statuses[0].reachable);
     EXPECT_TRUE(statuses[0].ready);
     EXPECT_FALSE(statuses[0].worker_id.empty());
     EXPECT_FALSE(statuses[1].reachable);
     EXPECT_FALSE(statuses[1].ready);
-    EXPECT_EQ(pool.ready_count(), 1u);
+    EXPECT_EQ(std::count_if(statuses.begin(), statuses.end(),
+                            [](const dist::WorkerStatus& status) {
+                                return status.ready;
+                            }),
+              1);
     servers[0]->stop();
 }
 
@@ -191,7 +223,9 @@ TEST(DistCampaign, ByteIdenticalAtOneTwoAndFourWorkers)
 
 TEST(DistCampaign, ReassignsAroundADeadWorker)
 {
-    const core::CampaignSpec spec = small_spec();
+    // Slow cases: the dead worker's lane must pop a case before the
+    // live worker has finished them all.
+    const core::CampaignSpec spec = slow_spec(6);
     const Reference reference = local_reference(spec);
 
     std::vector<dist::WorkerAddress> addresses;
@@ -213,10 +247,11 @@ TEST(DistCampaign, ReassignsAroundADeadWorker)
     EXPECT_EQ(result.workers[0].completed, 6u);
 }
 
+constexpr unsigned kKilledCampaignCases = 24;
+
 TEST(DistCampaign, SurvivesAWorkerKilledMidCampaign)
 {
-    core::CampaignSpec spec = small_spec();
-    spec.cases = 9;
+    const core::CampaignSpec spec = slow_spec(kKilledCampaignCases);
     const Reference reference = local_reference(spec);
 
     std::vector<dist::WorkerAddress> addresses;
@@ -224,19 +259,29 @@ TEST(DistCampaign, SurvivesAWorkerKilledMidCampaign)
     dist::DistCampaignOptions options;
     options.workers = addresses;
 
-    // Kill one worker as soon as the campaign is underway; its
-    // in-flight or future cases must migrate to the survivor.
-    std::thread killer([&servers] {
-        std::this_thread::sleep_for(std::chrono::duration<double>(0.05));
+    // Kill one worker as soon as it has accepted its second case, so
+    // most of the queue remains: its lane must fail and its future
+    // cases migrate to the survivor. (A wall-clock timer lets the
+    // campaign finish before the kill; slow cases leave the polling
+    // killer time to wake.)
+    std::atomic<bool> campaign_done{false};
+    std::thread killer([&servers, &campaign_done] {
+        while (!campaign_done.load() &&
+               servers[1]->stats().requests_run_case < 2)
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
         servers[1]->stop();
     });
     const dist::DistCampaignResult result =
         dist::run_distributed_campaign(spec, options);
+    campaign_done.store(true);
     killer.join();
     servers[0]->stop();
 
-    EXPECT_EQ(result.completed, 9u);
+    EXPECT_EQ(result.completed, kKilledCampaignCases);
     EXPECT_EQ(campaign_csv(result.campaign), reference.csv);
+    EXPECT_GE(result.reassigned, 1u);
+    ASSERT_EQ(result.workers.size(), 2u);
+    EXPECT_LT(result.workers[1].completed, kKilledCampaignCases);
 }
 
 TEST(DistCampaign, FailsWhenEveryWorkerIsDead)
@@ -293,6 +338,72 @@ TEST(DistCampaign, RefusesModelFilePaths)
     FatalThrowGuard guard;
     EXPECT_THROW(dist::run_distributed_campaign(spec, options),
                  FatalError);
+}
+
+TEST(DistCampaign, FleetTelemetryIsPulledAfterTheCampaign)
+{
+    // Two workers, each with the telemetry a daemon exposes.
+    struct Worker {
+        obs::MetricsRegistry registry;
+        obs::TraceSession trace;
+        std::unique_ptr<serve::Server> server;
+    };
+    std::vector<std::unique_ptr<Worker>> workers;
+    std::vector<dist::WorkerAddress> addresses;
+    for (int i = 0; i < 2; ++i) {
+        auto worker = std::make_unique<Worker>();
+        serve::ServerOptions server_options;
+        server_options.host = "127.0.0.1";
+        server_options.threads = 1;
+        server_options.worker_id = "fleet-w" + std::to_string(i);
+        server_options.metrics_source = &worker->registry;
+        server_options.trace_source = &worker->trace;
+        worker->server = std::make_unique<serve::Server>(server_options);
+        worker->server->start();
+        addresses.push_back({"127.0.0.1", worker->server->port()});
+        workers.push_back(std::move(worker));
+    }
+
+    const std::string journal = "dist_test_fleet.jsonl";
+    std::remove(journal.c_str());
+    dist::DistCampaignOptions options;
+    options.workers = addresses;
+    options.journal_path = journal;
+    obs::TraceSession coordinator;
+    obs::FleetCollector collector;
+    std::size_t pulled = 0;
+    {
+        obs::ScopedTrace scoped(coordinator);
+        const dist::DistCampaignResult result =
+            dist::run_distributed_campaign(small_spec(), options);
+        EXPECT_EQ(result.completed, 6u);
+        pulled = dist::collect_fleet_telemetry(
+            addresses, dist::FleetPullOptions{}, collector);
+    }
+    for (auto& worker : workers)
+        worker->server->stop();
+    std::remove(journal.c_str());
+
+    EXPECT_EQ(pulled, 2u);
+    ASSERT_EQ(collector.workers().size(), 2u);
+    EXPECT_EQ(collector.workers()[0].worker_id, "fleet-w0");
+    EXPECT_EQ(collector.workers()[1].worker_id, "fleet-w1");
+    std::uint64_t clamped = 0;
+    EXPECT_GT(collector.aligned(&clamped).size(), 0u);
+    EXPECT_EQ(clamped, 0u);
+    EXPECT_NE(collector.metrics_rollup_json().find("\"fleet/workers\":2"),
+              std::string::npos);
+
+    // The coordinator's own session accounts for the run's tail.
+    std::vector<std::string> names;
+    for (const obs::TraceEvent& event : coordinator.merged())
+        names.push_back(event.name);
+    for (const char* name : {"dist/run", "dist/probe", "dist/case",
+                             "dist/journal_rewrite", "dist/fleet_pull"}) {
+        EXPECT_NE(std::find(names.begin(), names.end(), name),
+                  names.end())
+            << name;
+    }
 }
 
 }  // namespace

@@ -374,6 +374,20 @@ TEST(FleetCollector, SessionEventsFeedTheCollector)
     EXPECT_EQ(clamped, 0u);
     for (const FleetCollector::AlignedEvent& event : aligned)
         EXPECT_GE(event.event.duration_us, 0.0);
+
+    // local_telemetry is the same join without the wire codec, plus
+    // the local registry's samples when one is given.
+    MetricsRegistry registry;
+    registry.counter("local/hits", Stability::kStable).add(3);
+    const WorkerTelemetry local =
+        local_telemetry("coordinator", session, &registry);
+    EXPECT_EQ(local.worker_id, "coordinator");
+    EXPECT_EQ(local.clock_offset_s, session.epoch_to_monotonic_skew_s());
+    ASSERT_EQ(local.events.size(), 2u);
+    EXPECT_EQ(local.dropped_events, 0u);
+    ASSERT_EQ(local.metrics.size(), 1u);
+    EXPECT_EQ(local.metrics[0].name, "local/hits");
+    EXPECT_TRUE(local_telemetry("c", session, nullptr).metrics.empty());
 }
 
 }  // namespace

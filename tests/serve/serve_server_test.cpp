@@ -59,6 +59,18 @@ TEST(ServeServer, StartResolvesPortAndStopIsIdempotent)
     server.stop();  // second stop must be a no-op
 }
 
+TEST(ServeServer, StoppedServerRefusesNewConnections)
+{
+    serve::Server server(loopback_options(1));
+    server.start();
+    const int port = server.port();
+    server.stop();
+    // Still constructed, but stopped: a dial must be refused, not left
+    // to queue unanswered in the listen backlog.
+    serve::Client client(client_timeouts(5.0));
+    EXPECT_FALSE(client.connect("127.0.0.1", port));
+}
+
 TEST(ServeServer, AnswersEveryRequestType)
 {
     serve::Server server(loopback_options(2));
