@@ -53,10 +53,10 @@ drain_metrics(serve::Client& client, const FleetPullOptions& options,
         std::uint64_t entries = 0;
         json_get_uint64(response.fields, "entries", entries);
         for (std::uint64_t i = 0; i < entries; ++i) {
+            std::string key = "m";
+            key += std::to_string(i);
             std::string encoded;
-            if (!json_get_string(response.fields,
-                                 ("m" + std::to_string(i)).c_str(),
-                                 encoded))
+            if (!json_get_string(response.fields, key.c_str(), encoded))
                 return false;
             obs::MetricSample sample;
             if (!obs::decode_metric_sample(encoded, sample))
@@ -104,10 +104,10 @@ drain_trace(serve::Client& client, const FleetPullOptions& options,
         std::uint64_t events = 0;
         json_get_uint64(response.fields, "events", events);
         for (std::uint64_t i = 0; i < events; ++i) {
+            std::string key = "e";
+            key += std::to_string(i);
             std::string encoded;
-            if (!json_get_string(response.fields,
-                                 ("e" + std::to_string(i)).c_str(),
-                                 encoded))
+            if (!json_get_string(response.fields, key.c_str(), encoded))
                 return false;
             obs::TraceEvent event;
             if (!obs::decode_trace_event(encoded, event))

@@ -42,6 +42,8 @@ struct LoopDims {
 
     /// Product of all extents = number of MAC-equivalent operations.
     std::int64_t volume() const;
+
+    bool operator==(const LoopDims&) const = default;
 };
 
 /// Identifier for the seven canonical loop dimensions.

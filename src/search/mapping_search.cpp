@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "common/rng.hpp"
@@ -14,22 +15,42 @@ namespace chrysalis::search {
 
 namespace {
 
+/// Eq. 8 budget terms of one environment. Both are fixed for a whole
+/// search, so they are computed once per environment, not per candidate.
+struct CycleBudget {
+    double store_j = 0.0;  ///< sim::cycle_store_energy
+    double p_eff_w = 0.0;  ///< sim::effective_power; may be negative
+};
+
 /// Worst-case Eq. 8 overshoot of a layer's tiles across all environments;
 /// 0 when the layer is feasible everywhere.
 double
 layer_violation(const dataflow::LayerCost& cost,
-                const std::vector<sim::EnergyEnv>& envs)
+                const std::vector<CycleBudget>& budgets)
 {
     if (!cost.feasible)
         return std::numeric_limits<double>::infinity();
     double worst = 0.0;
-    for (const auto& env : envs) {
-        if (sim::effective_power(env) <= 0.0)
+    for (const auto& cycle : budgets) {
+        if (cycle.p_eff_w <= 0.0)
             return std::numeric_limits<double>::infinity();
-        const double budget = sim::cycle_budget(env, cost.tile_time_s());
+        // The expression of sim::cycle_budget, on the hoisted terms.
+        const double budget = cycle.store_j +
+                              std::max(0.0, cycle.p_eff_w) *
+                                  cost.tile_time_s();
         worst = std::max(worst, cost.tile_energy_j() - budget);
     }
     return std::max(0.0, worst);
+}
+
+/// True when \p a and \p b cost the same under every mapping: the cost
+/// model reads a layer's kind, loop extents, stride and input size, never
+/// its name.
+bool
+same_shape(const dnn::Layer& a, const dnn::Layer& b)
+{
+    return a.kind == b.kind && a.dims == b.dims && a.stride == b.stride &&
+           a.in_h == b.in_h && a.in_w == b.in_w;
 }
 
 /// Scores one (layer, mapping): first by feasibility, then by energy.
@@ -58,14 +79,12 @@ struct ScoredMapping {
 ScoredMapping
 score_mapping(const dnn::Layer& layer, const dataflow::LayerMapping& mapping,
               const dataflow::CostParams& params,
-              const std::vector<sim::EnergyEnv>& envs)
+              const std::vector<CycleBudget>& budgets)
 {
     ScoredMapping scored;
     scored.mapping = mapping;
     scored.cost = dataflow::analyze_layer(layer, mapping, params);
-    scored.violation = scored.cost.feasible
-        ? layer_violation(scored.cost, envs)
-        : std::numeric_limits<double>::infinity();
+    scored.violation = layer_violation(scored.cost, budgets);
     return scored;
 }
 
@@ -73,7 +92,7 @@ ScoredMapping
 search_layer_exhaustive(const dnn::Layer& layer,
                         const std::vector<dataflow::Dataflow>& dataflows,
                         const dataflow::CostParams& params,
-                        const std::vector<sim::EnergyEnv>& envs,
+                        const std::vector<CycleBudget>& budgets,
                         const MappingSearchOptions& options,
                         std::int64_t& evaluations)
 {
@@ -82,7 +101,7 @@ search_layer_exhaustive(const dnn::Layer& layer,
     ScoredMapping best;
     bool first = true;
     for (const auto& mapping : candidates) {
-        ScoredMapping scored = score_mapping(layer, mapping, params, envs);
+        ScoredMapping scored = score_mapping(layer, mapping, params, budgets);
         ++evaluations;
         if (first || scored.better_than(best)) {
             best = std::move(scored);
@@ -98,7 +117,7 @@ ScoredMapping
 search_layer_genetic(const dnn::Layer& layer,
                      const std::vector<dataflow::Dataflow>& dataflows,
                      const dataflow::CostParams& params,
-                     const std::vector<sim::EnergyEnv>& envs,
+                     const std::vector<CycleBudget>& budgets,
                      const MappingSearchOptions& options,
                      std::int64_t& evaluations, Rng& rng)
 {
@@ -148,7 +167,7 @@ search_layer_genetic(const dnn::Layer& layer,
     population.reserve(static_cast<std::size_t>(options.ga_population));
     for (int i = 0; i < options.ga_population; ++i) {
         population.push_back(
-            score_mapping(layer, random_mapping(), params, envs));
+            score_mapping(layer, random_mapping(), params, budgets));
         ++evaluations;
     }
     const auto better = [](const ScoredMapping& a, const ScoredMapping& b) {
@@ -162,7 +181,7 @@ search_layer_genetic(const dnn::Layer& layer,
                 population[static_cast<std::size_t>(rng.uniform_int(
                     0, static_cast<std::int64_t>(keep) - 1))];
             population[i] =
-                score_mapping(layer, mutate(parent.mapping), params, envs);
+                score_mapping(layer, mutate(parent.mapping), params, budgets);
             ++evaluations;
         }
     }
@@ -186,19 +205,45 @@ search_mappings(const dnn::Model& model,
     if (dataflows.empty())
         panic("search_mappings: hardware supports no dataflows");
 
+    std::vector<CycleBudget> budgets;
+    budgets.reserve(envs.size());
+    for (const auto& env : envs)
+        budgets.push_back(
+            {sim::cycle_store_energy(env), sim::effective_power(env)});
+
     Rng rng(options.seed);
     MappingSearchResult result;
     result.mappings.reserve(model.layer_count());
     result.feasible = true;
 
+    // Exhaustive search is a pure function of (layer shape, CostParams,
+    // environments), and the last two are fixed within this call: each
+    // distinct shape is searched once and its best mapping reused. The
+    // genetic strategy draws every layer from one Rng stream, so it
+    // searches each layer.
+    std::vector<std::pair<const dnn::Layer*, ScoredMapping>> searched;
+
     for (std::size_t i = 0; i < model.layer_count(); ++i) {
         const dnn::Layer& layer = model.layer(i);
-        ScoredMapping best =
-            options.strategy == MappingSearchOptions::Strategy::kExhaustive
-                ? search_layer_exhaustive(layer, dataflows, params, envs,
-                                          options, result.evaluations)
-                : search_layer_genetic(layer, dataflows, params, envs,
-                                       options, result.evaluations, rng);
+        ScoredMapping best;
+        if (options.strategy ==
+            MappingSearchOptions::Strategy::kExhaustive) {
+            const auto seen = std::find_if(
+                searched.begin(), searched.end(), [&](const auto& entry) {
+                    return same_shape(*entry.first, layer);
+                });
+            if (seen != searched.end()) {
+                best = seen->second;
+            } else {
+                best = search_layer_exhaustive(layer, dataflows, params,
+                                               budgets, options,
+                                               result.evaluations);
+                searched.emplace_back(&layer, best);
+            }
+        } else {
+            best = search_layer_genetic(layer, dataflows, params, budgets,
+                                        options, result.evaluations, rng);
+        }
         if (best.violation > 0.0) {
             result.feasible = false;
             result.violation_j += std::isfinite(best.violation)

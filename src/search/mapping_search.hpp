@@ -13,6 +13,14 @@
 /// Two strategies are provided: bounded exhaustive enumeration per layer
 /// (layers are independent given the hardware and environments) and a
 /// GAMMA-style per-layer genetic search for very large tiling spaces.
+///
+/// Each call does each piece of work once. The Eq. 8 budget terms
+/// (E_store and P_eff of every environment) are computed up front, not
+/// per candidate. The exhaustive strategy searches each distinct layer
+/// shape (kind, loop extents, stride, input size; not the name) once and
+/// gives repeated shapes the same mapping, which is exactly what a fresh
+/// scan would return. The genetic strategy searches every layer, since
+/// all layers draw from one seeded random stream.
 
 #ifndef CHRYSALIS_SEARCH_MAPPING_SEARCH_HPP
 #define CHRYSALIS_SEARCH_MAPPING_SEARCH_HPP
@@ -47,7 +55,9 @@ struct MappingSearchResult {
     dataflow::ModelCost cost;   ///< cost under the chosen mappings
     double violation_j = 0.0;   ///< total Eq. 8 overshoot when infeasible
     fault::SimFailure failure;  ///< why the search failed, when infeasible
-    std::int64_t evaluations = 0;  ///< layer-cost evaluations performed
+    std::int64_t evaluations = 0;  ///< layer-cost evaluations performed;
+                                   ///< exhaustive search counts a
+                                   ///< repeated layer shape once
 };
 
 /// Runs the SW-level mapping search.

@@ -499,7 +499,8 @@ metrics_snapshot_body(const FlatJsonFields& fields,
     body_u64(body, "remaining", total - end);
     body_u64(body, "entries", end - begin);
     for (std::uint64_t i = begin; i < end; ++i) {
-        const std::string key = "m" + std::to_string(i - begin);
+        std::string key = "m";
+        key += std::to_string(i - begin);
         body_str(body, key.c_str(),
                  obs::encode_metric_sample(samples[i]));
     }
@@ -551,7 +552,8 @@ trace_export_body(const FlatJsonFields& fields,
     body_u64(body, "remaining", remaining);
     body_u64(body, "events", events.size());
     for (std::size_t i = 0; i < events.size(); ++i) {
-        const std::string key = "e" + std::to_string(i);
+        std::string key = "e";
+        key += std::to_string(i);
         body_str(body, key.c_str(), obs::encode_trace_event(events[i]));
     }
     return body;

@@ -152,7 +152,8 @@ TEST(TraceSessionTest, PerThreadCapCountsDrops)
     session.set_max_events_per_thread(3);
     for (int i = 0; i < 10; ++i) {
         TraceEvent event;
-        event.name = "e" + std::to_string(i);
+        event.name = "e";
+        event.name += std::to_string(i);
         session.add_event(std::move(event));
     }
     EXPECT_EQ(session.event_count(), 3u);

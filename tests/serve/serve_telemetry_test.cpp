@@ -223,9 +223,10 @@ TEST(Handlers, MetricsSnapshotPagesUntilDrained)
         const std::uint64_t entries = field_u64(fields, "entries");
         ASSERT_LE(entries, 2u);
         for (std::uint64_t i = 0; i < entries; ++i) {
+            std::string key = "m";
+            key += std::to_string(i);
             obs::MetricSample sample;
-            ASSERT_TRUE(obs::decode_metric_sample(
-                fields.at("m" + std::to_string(i)), sample));
+            ASSERT_TRUE(obs::decode_metric_sample(fields.at(key), sample));
             pulled.push_back(std::move(sample));
         }
         cursor = field_u64(fields, "cursor_next");
@@ -292,9 +293,10 @@ TEST(Handlers, TraceExportCursorResumesWithoutDuplicates)
         const std::uint64_t events = field_u64(fields, "events");
         ASSERT_LE(events, 3u);
         for (std::uint64_t i = 0; i < events; ++i) {
+            std::string key = "e";
+            key += std::to_string(i);
             obs::TraceEvent event;
-            ASSERT_TRUE(obs::decode_trace_event(
-                fields.at("e" + std::to_string(i)), event));
+            ASSERT_TRUE(obs::decode_trace_event(fields.at(key), event));
             pulled.push_back(std::move(event));
         }
         cursor = field_u64(fields, "cursor_next");
